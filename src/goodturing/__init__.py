@@ -35,13 +35,11 @@ from .sampler import (
 )
 from .signedlog import SignedLog, signed_log_sum
 from .specfun import (
-    StirlingTriangle,
+    StirlingRows,
     log_comb,
     log_rising,
     rising_factorial,
     rising_factorial_step,
-    stirling_log_row,
-    stirling_triangle,
 )
 from .verify import CheckResult, run_checks
 
@@ -72,9 +70,7 @@ __all__ = [
     "rising_factorial_step",
     "log_rising",
     "log_comb",
-    "StirlingTriangle",
-    "stirling_triangle",
-    "stirling_log_row",
+    "StirlingRows",
     "CheckResult",
     "run_checks",
 ]

@@ -185,10 +185,14 @@ class FinitePopulation:
         return int(self.probs.size)
 
     def expected_species(self, n: int) -> float:
-        """E[K_n] = s - sum_j (1 - p_j)^n."""
+        """E[K_n] = sum_j (1 - (1 - p_j)^n), each term as -expm1(n log1p(-p_j)).
+
+        Every term is positive, so nothing cancels (s - sum_j (1 - p_j)^n
+        loses digits when s is large and n small).
+        """
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return float(self.s - np.sum(np.exp(n * self._log_q)))
+        return float(-np.sum(np.expm1(n * self._log_q)))
 
     def expected_count(self, l: int, n: int) -> float:
         """E[C(l, n)] = sum_j C(n, l) p_j^l (1 - p_j)^(n - l)."""

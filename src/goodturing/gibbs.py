@@ -13,9 +13,10 @@ frequency counts C(l, n), the expected number of distinct species, and the
 exact Good-Turing discovery probability: the posterior mean frequency of a
 species known only to have appeared l times in a sample of size n.
 
-All sums over the block count k run through the generalized Stirling
-triangle of :mod:`goodturing.specfun` and are evaluated in log space;
-every term is nonnegative, so no cancellation occurs.
+All sums over the block count k run through one row of the generalized
+Stirling triangle, served by the model's :class:`~goodturing.specfun.StirlingRows`
+cache, and are evaluated in log space; every term is nonnegative, so no
+cancellation occurs.
 """
 
 from __future__ import annotations
@@ -24,21 +25,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .signedlog import ZERO, SignedLog
-from .specfun import (
-    StirlingTriangle,
-    iter_stirling_log_rows,
-    log_comb,
-    log_rising,
-    stirling_log_row,
-    stirling_triangle,
-)
+from .specfun import StirlingRows, log_comb, log_rising, logsumexp
 
 __all__ = ["Composition", "GibbsModel", "TabularGibbsModel"]
 
 _NEG_INF = float("-inf")
+
+#: Stirling rows per block in exact_good_turing_row
+_ROW_BLOCK = 128
 
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:
@@ -87,20 +83,16 @@ class GibbsModel:
     ``max_size`` bounds the sample sizes the weights are available for
     (None = unbounded); ``max_blocks`` marks weight support that stops at a
     finite number of species, as with finite symmetric Dirichlet models.
-    Instances are immutable apart from an internal Stirling-row cache whose
-    rebuilds are idempotent, so sharing across threads is safe.
+    ``stirling_rows`` is the model's Stirling-row cache.  Instances are
+    immutable apart from that cache, which builds and serves rows under a
+    lock, so one model can be shared between threads.
     """
 
-    #: full triangle kept in memory up to this row; larger rows stream in O(n) memory
-    stirling_cache_limit = 1024
-
     def __init__(self, alpha: float, max_size: int | None = None, max_blocks: int | None = None):
-        if alpha >= 1.0:
-            raise ValueError(f"discount parameter must be < 1, got {alpha}")
-        self.alpha = float(alpha)
+        self.stirling_rows = StirlingRows(alpha)  # rejects alpha >= 1 and non-finite alpha
+        self.alpha = self.stirling_rows.alpha
         self.max_size = max_size
         self.max_blocks = max_blocks
-        self._stirling: StirlingTriangle | None = None
 
     # -- weights ---------------------------------------------------------
 
@@ -197,13 +189,9 @@ class GibbsModel:
 
     def _log_expected_count(self, l: int, n: int) -> float:
         m = n - l
-        srow = self._stirling_log_row(m)
+        srow = self.stirling_rows.log_row(m)
         lw = self.log_weight_row(n, m + 1)
-        return (
-            log_comb(n, l)
-            + log_rising(1.0 - self.alpha, l - 1)
-            + float(logsumexp(lw + srow))
-        )
+        return log_comb(n, l) + log_rising(1.0 - self.alpha, l - 1) + logsumexp(lw + srow)
 
     def falling_factorial_moment(self, l: int, n: int, r: int) -> float:
         """E[C(l,n) (C(l,n)-1) ... (C(l,n)-r+1)]; zero when l*r > n.
@@ -216,7 +204,7 @@ class GibbsModel:
         if l * r > n:
             return 0.0
         m = n - l * r
-        srow = self._stirling_log_row(m)
+        srow = self.stirling_rows.log_row(m)
         lw = self.log_weight_row(n, m + r)  # k = 1..m+r
         coeff = (
             math.lgamma(n + 1)
@@ -224,21 +212,14 @@ class GibbsModel:
             - math.lgamma(m + 1)
             + r * log_rising(1.0 - self.alpha, l - 1)
         )
-        return math.exp(coeff + float(logsumexp(lw[r - 1 :] + srow)))
+        return math.exp(coeff + logsumexp(lw[r - 1 :] + srow))
 
     def expected_species(self, n: int) -> float:
-        """E[K_n] = sum_l E[C(l, n)], accumulated over streamed Stirling rows."""
+        """E[K_n] = sum_k k V(n, k) S(n, k), from Stirling row n alone."""
         self._check_size(n)
-        lw = self.log_weight_row(n, n)
-        log_one_minus_alpha = np.concatenate(
-            ([0.0], np.cumsum(np.log(1.0 - self.alpha + np.arange(n - 1, dtype=float))))
-        )  # index l-1 holds log (1-alpha)_(l-1)
-        total = 0.0
-        for m, row in enumerate(iter_stirling_log_rows(n - 1, self.alpha)):
-            l = n - m
-            lp = log_comb(n, l) + log_one_minus_alpha[l - 1] + float(logsumexp(lw[: m + 1] + row))
-            total += math.exp(lp)
-        return total
+        srow = self.stirling_rows.log_row(n)[1:]
+        log_k = np.log(np.arange(1, n + 1, dtype=float))
+        return math.exp(logsumexp(self.log_weight_row(n, n) + srow + log_k))
 
     # -- exact Good-Turing discovery probability -------------------------
 
@@ -257,14 +238,14 @@ class GibbsModel:
         self._check_range_l(l, n)
         self._check_size(n + 1)
         m = n - l
-        srow = self._stirling_log_row(m)
-        den = float(logsumexp(self.log_weight_row(n, m + 1) + srow))
+        srow = self.stirling_rows.log_row(m)
+        den = logsumexp(self.log_weight_row(n, m + 1) + srow)
         if den == _NEG_INF:
             raise ValueError(
                 f"a species seen {l} times in {n} draws has probability zero "
                 "under this model; the estimator conditions on an impossible event"
             )
-        num = float(logsumexp(self.log_weight_row(n + 1, m + 1) + srow))
+        num = logsumexp(self.log_weight_row(n + 1, m + 1) + srow)
         return (l - self.alpha) * math.exp(num - den)
 
     def exact_good_turing_row(self, n: int) -> np.ndarray:
@@ -278,11 +259,14 @@ class GibbsModel:
         self._check_size(n + 1)
         lw_n = self.log_weight_row(n, n)
         lw_next = self.log_weight_row(n + 1, n + 1)[:n]
-        m_rows = np.full((n, n), _NEG_INF)  # row m holds log S(m, k-1), k = 1..n
-        for m in range(n):
-            m_rows[m, : m + 1] = self._stirling_log_row(m)
-        num = _row_logsumexp(m_rows + lw_next)
-        den = _row_logsumexp(m_rows + lw_n)
+        num, den = np.empty(n), np.empty(n)
+        for lo in range(0, n, _ROW_BLOCK):  # blocks of rows bound the scratch memory
+            hi = min(lo + _ROW_BLOCK, n)
+            m_rows = np.full((hi - lo, hi), _NEG_INF)  # row m - lo holds log S(m, k-1), k = 1..hi
+            for m in range(lo, hi):
+                m_rows[m - lo, : m + 1] = self.stirling_rows.log_row(m)
+            num[lo:hi] = _row_logsumexp(m_rows + lw_next[:hi])
+            den[lo:hi] = _row_logsumexp(m_rows + lw_n[:hi])
         ls = np.arange(n, 0, -1, dtype=float)  # l = n - m
         with np.errstate(invalid="ignore"):
             out = ls - self.alpha
@@ -295,17 +279,6 @@ class GibbsModel:
         self._check_size(n)
         if not 1 <= l <= n:
             raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-
-    def _stirling_log_row(self, m: int) -> np.ndarray:
-        if m == 0:
-            return np.zeros(1)
-        if m > self.stirling_cache_limit:
-            return stirling_log_row(m, self.alpha)
-        tri = self._stirling
-        if tri is None or tri.n_max < m:
-            target = min(self.stirling_cache_limit, max(m, 64, 2 * (tri.n_max if tri else 0)))
-            self._stirling = tri = stirling_triangle(target, self.alpha)
-        return tri.log_row(m)
 
 
 class TabularGibbsModel(GibbsModel):

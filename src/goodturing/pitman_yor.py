@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .gibbs import Composition, GibbsModel
-from .specfun import log_rising, rising_factorial_step
+from .specfun import check_discount, log_rising, rising_factorial_step
 
 __all__ = ["PitmanYor", "johnson_estimate", "jeffreys_estimate"]
 
@@ -50,9 +50,9 @@ class PitmanYor(GibbsModel):
     """
 
     def __init__(self, alpha: float, theta: float | None = None, s: int | None = None):
-        alpha = float(alpha)
-        if alpha >= 1.0:
-            raise ValueError(f"discount parameter must be < 1, got {alpha}")
+        alpha = check_discount(alpha)
+        if theta is not None and not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         if alpha < 0.0:
             if s is None:
                 raise ValueError("alpha < 0 needs the finite species count s")

@@ -1,4 +1,4 @@
-"""Special functions: rising factorials, log binomials, and the
+"""Special functions: rising factorials, log binomials, log-sum-exp and the
 generalized Stirling triangle, with signed log-space arithmetic
 re-exported from :mod:`.signedlog`.
 
@@ -14,12 +14,16 @@ Gnedin and Pitman, 2006, on exchangeable Gibbs partitions and Stirling
 triangles).  At a = 0 the entries are the unsigned Stirling numbers of the
 first kind.  Entries with 1 <= k <= n are strictly positive for every
 a < 1, so rows are stored as natural logs, with -inf marking structural
-zeros.
+zeros.  :class:`StirlingRows` is the cache every model reads rows from;
+:func:`iter_stirling_log_rows` streams them in order and is the reference
+the cache is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -35,11 +39,18 @@ __all__ = [
     "rising_factorial_step",
     "log_rising",
     "log_comb",
-    "StirlingTriangle",
-    "stirling_triangle",
-    "stirling_log_row",
+    "logsumexp",
+    "check_discount",
+    "DENSE_ROWS",
+    "CHECKPOINT_STRIDE",
+    "StirlingRows",
     "iter_stirling_log_rows",
 ]
+
+#: Stirling rows 0..DENSE_ROWS are all kept once computed
+DENSE_ROWS = 1024
+#: above DENSE_ROWS only every CHECKPOINT_STRIDE-th row is kept, plus the last row built
+CHECKPOINT_STRIDE = 64
 
 
 def rising_factorial(x: float, m: int) -> SignedLog:
@@ -86,72 +97,124 @@ def log_rising(x: float, m: int) -> float:
     return float(np.sum(np.log(x + np.arange(m, dtype=float))))
 
 
-class StirlingTriangle:
-    """Immutable triangle of generalized Stirling numbers up to ``n_max``.
+def check_discount(alpha: float) -> float:
+    """``alpha`` as a float, or ValueError unless it is finite and < 1."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"discount parameter must be finite, got {alpha}")
+    if alpha >= 1.0:
+        raise ValueError(f"discount parameter must be < 1, got {alpha}")
+    return alpha
 
-    Rows are log-valued numpy arrays; ``log_row(n)`` exposes row n (entries
-    k = 0..n) and ``entry(n, k)`` wraps a single value as a SignedLog.
-    Safe to share across concurrent readers once built.
+
+def logsumexp(x) -> float:
+    """log(sum(exp(x))) over all entries by the max shift.
+
+    -inf when x is empty or every entry is -inf; +inf and nan propagate.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return -math.inf
+    mx = float(x.max())
+    if not math.isfinite(mx):
+        return mx
+    return mx + math.log(float(np.exp(x - mx).sum()))
+
+
+class StirlingRows:
+    """Cached log-rows S(m, 0..m) of the generalized Stirling triangle, any m >= 0.
+
+    Rows 0..DENSE_ROWS are kept as they are computed.  Above that only every
+    CHECKPOINT_STRIDE-th row is kept, plus the last row built, so rows up to
+    M take O(DENSE_ROWS^2 + M^2 / CHECKPOINT_STRIDE) memory (about 5 MB at
+    M = 4000).  A request steps the recurrence forward from the nearest kept
+    row at or below it: no row is rebuilt from row 0, a row below the
+    highest one reached costs at most CHECKPOINT_STRIDE - 1 steps, and
+    increasing requests cost one step per row.
+
+    Rows are read-only arrays, equal bit for bit to the rows of
+    :func:`iter_stirling_log_rows`.  Lookups hold a lock, so one instance
+    can be shared between threads.
     """
 
-    def __init__(self, alpha: float, n_max: int):
-        if alpha >= 1.0:
-            raise ValueError(f"discount parameter must be < 1, got {alpha}")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        self.alpha = float(alpha)
-        self.n_max = int(n_max)
-        rows = [np.zeros(1)]
-        for n in range(n_max):
-            rows.append(_next_row(rows[n], n, self.alpha))
-        for r in rows:
-            r.flags.writeable = False
-        self._rows = rows
+    def __init__(self, alpha: float):
+        self.alpha = check_discount(alpha)
+        first = np.zeros(1)
+        first.flags.writeable = False
+        self._dense = [first]  # rows 0..len-1
+        self._checkpoints: list[np.ndarray] = []  # index i: row DENSE_ROWS + (i+1)*CHECKPOINT_STRIDE
+        self._last = (0, first)  # the last row built, and its index
+        self._lock = threading.Lock()
 
-    def log_row(self, n: int) -> np.ndarray:
-        """Read-only log-row S(n, 0..n); index k holds log S(n, k)."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside triangle (n_max={self.n_max})")
-        return self._rows[n]
+    def log_row(self, m: int) -> np.ndarray:
+        """Read-only log-row S(m, 0..m); index k holds log S(m, k)."""
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError(f"row index must be >= 0, got {m}")
+        with self._lock:
+            if m < len(self._dense):
+                return self._dense[m]
+            n, row = self._nearest_below(m)
+            while n < m:
+                row = _next_row(row, n, self.alpha)
+                row.flags.writeable = False
+                n += 1
+                self._keep(n, row)
+            self._last = (m, row)
+            return row
 
-    def log_entry(self, n: int, k: int) -> float:
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"row {n} outside triangle (n_max={self.n_max})")
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k > n:
-            return float("-inf")
-        return float(self._rows[n][k])
+    def _nearest_below(self, m: int) -> tuple[int, np.ndarray]:
+        # every checkpoint up to the highest row built exists, so a row
+        # beyond the dense block starts at most CHECKPOINT_STRIDE - 1 below
+        n = len(self._dense) - 1
+        row = self._dense[n]
+        i = min((m - DENSE_ROWS) // CHECKPOINT_STRIDE, len(self._checkpoints))
+        if i > 0:
+            n, row = DENSE_ROWS + i * CHECKPOINT_STRIDE, self._checkpoints[i - 1]
+        last_n, last_row = self._last
+        if n < last_n <= m:
+            n, row = last_n, last_row
+        return n, row
 
-    def entry(self, n: int, k: int) -> SignedLog:
-        lm = self.log_entry(n, k)
-        return ZERO if lm == float("-inf") else SignedLog(1, lm)
-
-
-def stirling_triangle(n_max: int, alpha: float) -> StirlingTriangle:
-    """Build the full triangle; memory is O(n_max^2)."""
-    return StirlingTriangle(alpha, n_max)
+    def _keep(self, n: int, row: np.ndarray) -> None:
+        # rows are built in order from the nearest kept one, so a row to
+        # keep is always the next dense row or the next checkpoint
+        if n <= DENSE_ROWS:
+            self._dense.append(row)
+        elif n == DENSE_ROWS + (len(self._checkpoints) + 1) * CHECKPOINT_STRIDE:
+            self._checkpoints.append(row)
 
 
 def _next_row(row: np.ndarray, n: int, alpha: float) -> np.ndarray:
     # row holds log S(n, k) for k = 0..n; returns row n+1.
-    out = np.full(n + 2, -np.inf)
-    out[1:] = row  # S(n, k-1) contribution, k = 1..n+1
+    out = np.empty(n + 2)
+    out[0] = -np.inf
+    out[n + 1] = row[n]  # S(n+1, n+1) = S(n, n)
     if n >= 1:
-        ks = np.arange(1, n + 1, dtype=float)
-        # n - k*alpha > 0 for 1 <= k <= n, alpha < 1
-        out[1 : n + 1] = np.logaddexp(out[1 : n + 1], np.log(n - ks * alpha) + row[1 : n + 1])
+        # k = 1..n: log(S(n, k-1) + (n - k*alpha) S(n, k)), with n - k*alpha > 0
+        # for alpha < 1.  The log-add is max + log1p(exp(-|a - b|)), written out
+        # because np.logaddexp is several times slower on long rows.
+        b = np.arange(1, n + 1, dtype=float)
+        b *= -alpha
+        b += n
+        np.log(b, out=b)
+        b += row[1:]
+        a = row[:n]
+        d = np.abs(a - b)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        np.log1p(d, out=d)
+        np.add(np.maximum(a, b), d, out=out[1 : n + 1])
     return out
 
 
 def iter_stirling_log_rows(n_max: int, alpha: float) -> Iterator[np.ndarray]:
     """Yield log-rows 0..n_max one at a time; O(n) memory.
 
-    This is the streaming path for sizes where the full triangle would not
-    fit; rows are yielded in order and must not be mutated.
+    The streaming reference for :class:`StirlingRows`; rows are yielded in
+    order and must not be mutated.
     """
-    if alpha >= 1.0:
-        raise ValueError(f"discount parameter must be < 1, got {alpha}")
+    alpha = check_discount(alpha)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     row = np.zeros(1)
@@ -159,14 +222,6 @@ def iter_stirling_log_rows(n_max: int, alpha: float) -> Iterator[np.ndarray]:
     for n in range(n_max):
         row = _next_row(row, n, alpha)
         yield row
-
-
-def stirling_log_row(n: int, alpha: float) -> np.ndarray:
-    """Single log-row S(n, 0..n) without storing the triangle above it."""
-    for i, row in enumerate(iter_stirling_log_rows(n, alpha)):
-        if i == n:
-            return row
-    raise AssertionError("unreachable")
 
 
 def log_comb(n: int, k: int) -> float:

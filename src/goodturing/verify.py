@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .empirical import FinitePopulation, smoothed_count
 from .gibbs import GibbsModel, TabularGibbsModel
 from .oracle import oracle_moment_table, oracle_stirling
 from .pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
 from .sampler import monte_carlo_moments
-from .specfun import iter_stirling_log_rows, log_rising
+from .specfun import iter_stirling_log_rows, log_rising, logsumexp
 
 __all__ = ["CheckResult", "run_checks", "LEVELS"]
 
@@ -108,7 +107,7 @@ def check_normalization(n_max: int) -> CheckResult:
         for n, srow in enumerate(iter_stirling_log_rows(n_max, model.alpha)):
             if n == 0:
                 continue
-            total = float(logsumexp(model.log_weight_row(n, n) + srow[1:]))
+            total = logsumexp(model.log_weight_row(n, n) + srow[1:])
             worst = max(worst, abs(math.expm1(total)))
     return _tol_result("weight-normalization", worst, 1e-10, f"|sum - 1|, n <= {n_max}")
 

@@ -182,6 +182,13 @@ class TestBnp:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("alpha, theta", [("nan", "1"), ("inf", "1"), ("0.5", "nan"), ("0.5", "inf")])
+    def test_non_finite_parameters_exit_2(self, capsys, alpha, theta):
+        code, out, err = run_cli(
+            capsys, "bnp", f"--alpha={alpha}", f"--theta={theta}", "--l", "1", "--n", "10"
+        )
+        assert code == 2 and "finite" in err and out == ""
+
     def test_alpha_required_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bnp", "--theta", "1", "--l", "1", "--n", "2"])

@@ -205,6 +205,16 @@ class TestFinitePopulation:
             assert pop.exact_good_turing(l, n) == pytest.approx(0.25, rel=1e-13)
             np.testing.assert_allclose(pop.posterior(l, n), 0.25, rtol=1e-13)
 
+    def test_expected_species_large_population(self):
+        # s = 10^5, n = 10: s - sum (1 - p_j)^n cancels to about 2e-13 relative
+        mpmath = pytest.importorskip("mpmath")
+        g = np.random.default_rng(1).gamma(1.0, size=100_000)
+        pop = FinitePopulation(g / g.sum())
+        with mpmath.workdps(30):
+            want = mpmath.fsum(1 - (1 - mpmath.mpf(float(p))) ** 10 for p in pop.probs)
+            err = abs((pop.expected_species(10) - want) / want)
+        assert err <= 1e-14
+
     def test_single_species_population(self):
         pop = FinitePopulation([1.0])
         for n in (1, 2, 7):

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from goodturing.gibbs import Composition, GibbsModel, TabularGibbsModel
 from goodturing.pitman_yor import PitmanYor
+from goodturing.specfun import CHECKPOINT_STRIDE, DENSE_ROWS, iter_stirling_log_rows
 
 
 @pytest.fixture
@@ -36,6 +39,9 @@ def test_alpha_validation():
         GibbsModel(1.0)
     with pytest.raises(ValueError):
         GibbsModel(1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GibbsModel(bad)
 
 
 def test_eppf_pinned_values(pd_half):
@@ -141,6 +147,28 @@ def test_expected_species_pinned(pd_half):
 def test_expected_species_monotone(pd_half):
     values = [pd_half.expected_species(n) for n in range(1, 30)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def _py_expected_species(mpmath, alpha, theta, n):
+    # Pitman (2006): (theta/alpha) ((theta+alpha)_n / (theta)_n - 1); sum theta/(theta+i) at alpha = 0
+    a, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+    if alpha == 0:
+        return mpmath.fsum(t / (t + i) for i in range(n))
+    return t / a * (mpmath.rf(t + a, n) / mpmath.rf(t, n) - 1)
+
+
+def test_expected_species_matches_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+    models = [
+        PitmanYor(0.5, 1.0), PitmanYor(0.0, 2.0), PitmanYor(0.9, 0.5), PitmanYor(0.25, -0.1),
+        PitmanYor(-0.5, s=50), PitmanYor(-1.5, s=1000),
+    ]
+    with mpmath.workdps(50):
+        for model in models:
+            for n in (1, 2, 10, 100, 1024, 1025, 2000, 4000):
+                want = _py_expected_species(mpmath, model.alpha, model.theta, n)
+                got = model.expected_species(n)
+                assert abs((got - want) / want) <= 1e-9, (model, n)
 
 
 def test_exact_good_turing_pinned(pd_half):
@@ -259,3 +287,47 @@ def test_validate_flag_skips_consistency_check():
 def test_from_bottom_row_rejects_nonpositive():
     with pytest.raises(ValueError):
         TabularGibbsModel.from_bottom_row(0.5, [1.0, 0.0, 1.0])
+
+
+# -- one model shared between threads ---------------------------------------
+
+
+def test_shared_model_across_threads():
+    # dense rows, rows around the checkpoints and rows past the highest one
+    # built, requested in a different order by each thread while the cache grows
+    model = PitmanYor(0.5, 1.0)
+    top = DENSE_ROWS + 10 * CHECKPOINT_STRIDE
+    wanted = sorted(
+        {0, 1, 2, 100, 511, DENSE_ROWS - 1, DENSE_ROWS, DENSE_ROWS + 1}
+        | {DENSE_ROWS + j * CHECKPOINT_STRIDE + d for j in (1, 2, 5) for d in (-1, 0, 1)}
+        | set(range(top - 40, top + 1, 8))
+    )
+    ref = {m: row for m, row in enumerate(iter_stirling_log_rows(top, 0.5)) if m in set(wanted)}
+    errors = []
+
+    def worker(seed):
+        try:
+            rng = np.random.default_rng(seed)
+            for m in rng.permutation(wanted):
+                row = model.stirling_rows.log_row(int(m))
+                if row.flags.writeable or not np.array_equal(row, ref[m]):
+                    errors.append(f"row {m}")
+            for n in rng.permutation([10, DENSE_ROWS + 3, top - 5]):
+                got = model.exact_good_turing(1, int(n))
+                if abs(got - model.exact_good_turing_closed(1, int(n))) > 1e-9 * got:
+                    errors.append(f"estimate at n={n}")
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive(), "a worker thread did not finish"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []

@@ -30,6 +30,18 @@ def test_constructor_validation():
         PitmanYor(-0.5, theta=3.0, s=2)  # |alpha| s = 1, not 3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(bad, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(bad, s=3)
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(0.5, bad)
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(-0.5, theta=bad, s=2)
+
+
 def test_negative_alpha_infers_theta():
     m = PitmanYor(-0.5, s=4)
     assert m.theta == 2.0 and m.s == 4
