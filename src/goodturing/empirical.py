@@ -157,14 +157,17 @@ class FinitePopulation:
     """Known species frequencies (p_1, ..., p_s), summing to one.
 
     Zero-probability entries are dropped with a warning (no formula here can
-    see them); negative entries and totals off by more than 1e-12 are
-    rejected.  Powers of 1 - p_j go through log1p for accuracy at small p_j.
+    see them); NaN, infinite or negative entries and totals off by more than
+    1e-12 are rejected.  Powers of 1 - p_j go through log1p for accuracy at
+    small p_j.
     """
 
     def __init__(self, probs: Sequence[float]):
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("population needs a nonempty 1-d probability vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("population frequencies must be finite")
         if np.any(p < 0):
             raise ValueError("population frequencies must be nonnegative")
         if np.any(p == 0):

@@ -285,8 +285,9 @@ class TabularGibbsModel(GibbsModel):
     """Gibbs model backed by a numeric weight table.
 
     ``rows`` maps sample size n = 1..N to the weights (V(n,1), ..., V(n,n)).
-    Construction checks V(1,1) = 1, strict positivity inside the declared
-    support, and the backward recursion; inconsistent tables are rejected.
+    Construction checks that every weight is finite, V(1,1) = 1, strict
+    positivity inside the declared support, and the backward recursion;
+    inconsistent tables are rejected.
     """
 
     def __init__(self, alpha: float, rows, validate: bool = True, rtol: float = 1e-8):
@@ -297,6 +298,9 @@ class TabularGibbsModel(GibbsModel):
         for n, row in enumerate(table, start=1):
             if row.shape != (n,):
                 raise ValueError(f"row for n={n} must have {n} entries, got {row.shape}")
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise ValueError(f"weights must be finite, got V({n},{bad[0] + 1}) = {row[bad[0]]!r}")
         super().__init__(alpha, max_size=n_max)
         if abs(table[0][0] - 1.0) > 1e-12:
             raise ValueError(f"V(1,1) must be 1, got {table[0][0]}")

@@ -1,10 +1,20 @@
 """Seeded Monte Carlo generators for checking every expectation empirically.
 
 Two sources: the sequential urn driven by a Gibbs model's predictive rules,
-and i.i.d. categorical draws from a known finite population.  Reproducibility
-is by construction: replicate r of a run seeded with s draws its randomness
-from the stream keyed by (s, r), so results do not depend on execution
-order and parallel and serial runs agree exactly.
+and i.i.d. categorical draws from a known finite population.  Replicates
+are simulated in blocks, a whole block one urn step (or one draw matrix)
+at a time.  Reproducibility is by construction:
+
+- block b of a run seeded with s draws a row-major (rows, n - 1) matrix of
+  uniforms ((rows, n) for a population) from the numpy stream keyed by
+  (s, b); row i holds replicate b * rows + i;
+- rows per block are a fixed budget of elements divided by n (by
+  max(n, s) for a population of s species), so a table is a pure function
+  of (source, n, reps, seed, l_max), and replicate r's sample does not
+  depend on ``reps``;
+- replicate 0 is exactly ``sample_gibbs(model, n, seed)`` or
+  ``sample_population(pop, n, seed)``, which run the same code on a block
+  of one row.
 """
 
 from __future__ import annotations
@@ -28,10 +38,18 @@ __all__ = [
 
 #: populations larger than this use alias-table sampling; smaller ones a cumulative scan
 ALIAS_THRESHOLD = 32
+#: elements (rows x n) per urn block.  The uniforms and the labels are the
+#: block-sized arrays (16 bytes per element); a larger budget speeds up
+#: large n, where numpy's per-call cost dominates a step, at the cost of
+#: peak memory
+URN_BLOCK = 1 << 16
+#: elements (rows x max(n, s)) per population block; a draw makes several
+#: temporaries of the block's size, so these blocks are smaller
+POPULATION_BLOCK = 1 << 14
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), int(rep)))
+def _stream(seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng((int(seed), int(block)))
 
 
 @dataclass(frozen=True)
@@ -62,67 +80,95 @@ def sample_gibbs(model: GibbsModel, n: int, seed: int, use_closed_form: bool | N
     """One sequential sample of size n from the model's predictive rules.
 
     ``use_closed_form`` picks the per-step rule: the Pitman-Yor shortcut
-    ((n_j - alpha)/(theta + m) old, (theta + k alpha)/(theta + m) new) or the
+    (total weight theta + m, new-species weight theta + k alpha) or the
     generic route through the weights.  None selects the shortcut exactly
-    when the model is Pitman-Yor; both consume one uniform per step, so
-    their draws can be compared seed for seed.
+    when the model is Pitman-Yor; both consume one uniform per step and
+    split it the same way, so their draws can be compared seed for seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     model._check_size(n)
-    rng = _rep_rng(seed, 0)
     if use_closed_form is None:
         use_closed_form = isinstance(model, PitmanYor)
     if use_closed_form and not isinstance(model, PitmanYor):
         raise ValueError("closed-form urn updates are only available for Pitman-Yor models")
-    uniforms = rng.random(n - 1) if n > 1 else np.empty(0)
-    if use_closed_form:
-        parts = _urn_pitman_yor(model, n, uniforms)
-    else:
-        parts = _urn_generic(model, n, uniforms)
-    return _summarize(parts)
+    urn = _urn_pitman_yor if use_closed_form else _urn_generic
+    labels = urn(model, _stream(seed, 0).random((1, n - 1)))[0]
+    return _summarize(np.bincount(labels).tolist())
 
 
-def _urn_pitman_yor(model: PitmanYor, n: int, uniforms: np.ndarray) -> list[int]:
-    alpha, theta, s = model.alpha, model.theta, model.s
-    counts = [1]  # the first draw always founds a species
+def _urn_pitman_yor(model: PitmanYor, uniforms: np.ndarray) -> np.ndarray:
+    theta, s = model.theta, model.s
+
+    def weights(m, k):
+        # total weight theta + m; a saturated urn (k = s) founds no species
+        return theta + m, (k if s is None else np.minimum(k, s - 1))
+
+    return _urn(uniforms, model.alpha, weights)
+
+
+def _urn_generic(model: GibbsModel, uniforms: np.ndarray) -> np.ndarray:
+    alpha = model.alpha
+
+    def weights(m, k):
+        # in units of V(m+1, k): 1 per repeat draw, 1 - alpha per founder and
+        # V(m+1, k+1)/V(m+1, k) for a new species; the backward recursion
+        # makes the total V(m, k)/V(m+1, k)
+        lw = model.log_weight_row(m + 1, m + 1)
+        with np.errstate(invalid="ignore"):
+            new = np.exp(lw[1:] - lw[:-1])[k - 1]
+        if not np.isfinite(new).all():
+            raise ValueError(f"V({m + 1}, k) = 0 at a reachable state: the weights leave the model's support")
+        return (m - alpha * k) + new, k - (new == 0.0)
+
+    return _urn(uniforms, alpha, weights)
+
+
+def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
+    """Run one urn per row of ``uniforms`` (rows, n - 1).
+
+    Returns a (rows, n) array whose row i lists the species label of each
+    of row i's n draws, in no particular order; labels number species in
+    order of appearance from 0.  Species j's weight c_j - alpha is split as
+    1 per earlier repeat draw of j plus 1 - alpha for its founding draw
+    (Pitman, 2006, ch. 3), so at step m the uniform, scaled by the total
+    weight, lands in one of three regions: the m - k repeat draws (pick one
+    and copy its label), the k founders, or a new species.  ``weights(m, k)``
+    returns the per-row total weight and the largest label a non-repeat
+    draw may take: k, or k - 1 when no new species can be founded.
+    """
+    rows, steps = uniforms.shape
+    n = steps + 1
+    # repeat draws fill a row from the left, slot m - k taking draw m's
+    # label; the founders' labels k-1 .. 0 sit preset in the last k slots
+    labels = np.tile(np.arange(n - 1, -1, -1), (rows, 1))
+    flat = labels.ravel()
+    base = np.arange(rows) * n
+    k = np.ones(rows, dtype=np.intp)
+    inv = 1.0 / (1.0 - alpha)
     for m in range(1, n):
-        u = uniforms[m - 1] * (theta + m)
-        acc = 0.0
-        chosen = -1
-        for j, c in enumerate(counts):
-            acc += c - alpha
-            if u < acc:
-                chosen = j
-                break
-        if chosen >= 0:
-            counts[chosen] += 1
-        elif s is not None and len(counts) >= s:
-            counts[-1] += 1  # saturated support: rounding pushed u past the last slot
-        else:
-            counts.append(1)
-    return counts
+        total, cap = weights(m, k)
+        u = uniforms[:, m - 1] * total
+        repeats = m - k
+        label = flat[base + np.minimum(u, m - 1).astype(np.intp)]
+        u -= repeats  # negative inside the repeat region
+        chosen = np.where(u < 0.0, label, np.minimum(u * inv, cap).astype(np.intp))
+        # a draw that founds species k writes k to slot m - k, which the
+        # next draw overwrites, or, if no draw follows, is species k's
+        # preset slot; slots below m - k are never rewritten
+        flat[base + repeats] = chosen
+        k += chosen == k
+    return labels
 
 
-def _urn_generic(model: GibbsModel, n: int, uniforms: np.ndarray) -> list[int]:
-    counts = [1]
-    for m in range(1, n):
-        old, new = model.predictive_probs(counts)
-        u = uniforms[m - 1]
-        acc = 0.0
-        chosen = -1
-        for j, p in enumerate(old):
-            acc += p
-            if u < acc:
-                chosen = j
-                break
-        if chosen >= 0:
-            counts[chosen] += 1
-        elif new > 0.0:
-            counts.append(1)
-        else:
-            counts[-1] += 1
-    return counts
+def _offset_bincount(values: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise bincount of values in [0, width): out[i, v] counts v in row i.
+
+    ``values``, an intp array, is overwritten.
+    """
+    rows = values.shape[0]
+    values += (np.arange(rows) * width)[:, None]
+    return np.bincount(values.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 # -- finite population ---------------------------------------------------
@@ -146,15 +192,19 @@ class CategoricalSampler:
             self._cum = np.cumsum(p)
             self._cum[-1] = 1.0
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Species indices of shape ``size`` (an int or a tuple)."""
         u = rng.random(size)
-        if self.use_alias:
-            scaled = u * self.s
-            idx = scaled.astype(np.int64)
-            np.clip(idx, 0, self.s - 1, out=idx)
-            frac = scaled - idx
-            return np.where(frac < self._accept[idx], idx, self._alias[idx])
-        return np.searchsorted(self._cum, u, side="right")
+        if not self.use_alias:
+            return np.searchsorted(self._cum, u, side="right")
+        u = u * self.s
+        idx = u.astype(np.intp)
+        np.minimum(idx, self.s - 1, out=idx)
+        u -= idx
+        alias = u >= self._accept[idx]  # the fractional part picks the cell or its alias
+        del u
+        idx[alias] = self._alias[idx[alias]]
+        return idx
 
 
 def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,16 +229,9 @@ def sample_population(pop: FinitePopulation, n: int, seed: int) -> SampleSummary
     """n independent draws from the fixed frequencies, summarized."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _rep_rng(seed, 0)
-    sampler = CategoricalSampler(pop.probs)
-    return _summarize(_population_parts(sampler, n, rng))
-
-
-def _population_parts(sampler: CategoricalSampler, n: int, rng: np.random.Generator) -> list[int]:
-    draws = sampler.draw(rng, n)
+    draws = CategoricalSampler(pop.probs).draw(_stream(seed, 0), (1, n))[0]
     _, first, counts = np.unique(draws, return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    return counts[order].tolist()
+    return _summarize(counts[np.argsort(first, kind="stable")].tolist())
 
 
 # -- moment estimation ---------------------------------------------------
@@ -229,9 +272,10 @@ def monte_carlo_moments(
     """Estimate E[K_n] and E[C(l, n)], l <= l_max, over independent replicates.
 
     ``source`` is a GibbsModel (urn sampling) or FinitePopulation
-    (multinomial sampling).  Replicate r uses the stream keyed by (seed, r);
-    statistics are aggregated with numpy's pairwise summation, so the
-    result is bit-stable however replicates are scheduled.
+    (multinomial sampling).  Replicates run in blocks; block b uses the
+    stream keyed by (seed, b) (see the module docstring).  Statistics are
+    aggregated with numpy's pairwise summation over one array of all
+    replicates, so the result does not depend on the block layout.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -241,33 +285,38 @@ def monte_carlo_moments(
         l_max = n
     if not 1 <= l_max <= n:
         raise ValueError(f"need 1 <= l_max <= n, got l_max={l_max}")
+    stats = _replicate_stats(source, n, reps, seed, l_max)
+    means = stats.mean(axis=0)
+    ses = stats.std(axis=0, ddof=1) / np.sqrt(reps)
+    labels = ("K",) + tuple(f"C_{l}" for l in range(1, l_max + 1))
+    return MomentTable(n=n, reps=reps, seed=seed, labels=labels, means=means, ses=ses)
 
+
+def _replicate_stats(source, n: int, reps: int, seed: int, l_max: int) -> np.ndarray:
+    """(reps, 1 + l_max) int32 array: K, C_1 .. C_lmax of every replicate."""
     if isinstance(source, GibbsModel):
         source._check_size(n)
-        closed = isinstance(source, PitmanYor)
+        urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
+        rows = max(1, URN_BLOCK // n)
 
-        def one(rng):
-            uniforms = rng.random(n - 1) if n > 1 else np.empty(0)
-            if closed:
-                return _urn_pitman_yor(source, n, uniforms)
-            return _urn_generic(source, n, uniforms)
+        def block(rng, size):
+            return _offset_bincount(urn(source, rng.random((size, n - 1))), n)
 
     elif isinstance(source, FinitePopulation):
         sampler = CategoricalSampler(source.probs)
+        rows = max(1, POPULATION_BLOCK // max(n, sampler.s))
 
-        def one(rng):
-            return _population_parts(sampler, n, rng)
+        def block(rng, size):
+            return _offset_bincount(sampler.draw(rng, (size, n)), sampler.s)
 
     else:
         raise ValueError(f"source must be a GibbsModel or FinitePopulation, got {type(source)!r}")
 
     stats = np.empty((reps, 1 + l_max), dtype=np.int32)
-    for rep in range(reps):
-        parts = one(_rep_rng(seed, rep))
-        cl = np.bincount(parts, minlength=l_max + 1)[1 : l_max + 1]
-        stats[rep, 0] = len(parts)
-        stats[rep, 1:] = cl
-    means = stats.mean(axis=0)
-    ses = stats.std(axis=0, ddof=1) / np.sqrt(reps)
-    labels = ("K",) + tuple(f"C_{l}" for l in range(1, l_max + 1))
-    return MomentTable(n=n, reps=reps, seed=seed, labels=labels, means=means, ses=ses)
+    for b, lo in enumerate(range(0, reps, rows)):
+        hi = min(lo + rows, reps)
+        counts = block(_stream(seed, b), hi - lo)  # species multiplicities, one row per replicate
+        stats[lo:hi, 0] = np.count_nonzero(counts, axis=1)
+        stats[lo:hi, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
+        del counts  # free the block before the next one is drawn
+    return stats

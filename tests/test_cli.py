@@ -281,6 +281,11 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_nan_population_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--pop", "nan,1", "--n", "5", "--reps", "100", "--seed", "1")
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_too_few_reps(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--alpha", "0.5", "--theta", "1",

@@ -243,6 +243,12 @@ class TestFinitePopulation:
         with pytest.raises(ValueError):
             FinitePopulation([0.7, 0.31])
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 1.0]])
+    def test_rejects_non_finite_frequencies(self, probs):
+        # NaN passes both the sign and the sum comparisons
+        with pytest.raises(ValueError, match="finite"):
+            FinitePopulation(probs)
+
     def test_zero_probabilities_dropped(self):
         with pytest.warns(UserWarning, match="zero-probability"):
             pop = FinitePopulation([0.5, 0.0, 0.5])

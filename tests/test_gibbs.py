@@ -257,6 +257,15 @@ def test_tabular_validation_rejects_bad_tables():
         TabularGibbsModel(0.5, [])
 
 
+@pytest.mark.parametrize("rows", [[[1.0], [0.5, math.nan]], [[1.0], [math.inf, 1.0]]])
+def test_tabular_rejects_non_finite_weights(rows):
+    # NaN and inf pass the positivity and recursion comparisons
+    with pytest.raises(ValueError, match="finite"):
+        TabularGibbsModel(0.5, rows)
+    with pytest.raises(ValueError, match="finite"):
+        TabularGibbsModel(0.5, rows, validate=False)
+
+
 def test_tabular_support_must_be_contiguous():
     # row with an interior zero: V(3,2) = 0 but V(3,3) > 0
     rows = [[1.0], [0.6, 0.1], [0.2, 0.0, 0.1]]

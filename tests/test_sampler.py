@@ -1,17 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from goodturing.empirical import FinitePopulation
+from goodturing.gibbs import TabularGibbsModel
+from goodturing.oracle import oracle_expected_cl, oracle_stirling
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
+    POPULATION_BLOCK,
+    URN_BLOCK,
     CategoricalSampler,
     MomentTable,
     monte_carlo_moments,
     sample_gibbs,
     sample_population,
-    _population_parts,
-    _rep_rng,
+    _replicate_stats,
+    _urn_generic,
+    _urn_pitman_yor,
 )
 
 
@@ -92,6 +99,18 @@ class TestSampleGibbs:
         for seed in range(30):
             assert sample_gibbs(m, 15, seed=seed).k <= 2
 
+    @pytest.mark.parametrize("alpha", [-0.5, -1.0, -1.5, -3.0])
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    def test_saturated_urn_at_the_top_uniform(self, alpha, s):
+        # uniforms just below 1 sit on the upper edge of every step's range,
+        # where rounding can leave the founders' region of a saturated urn
+        model = PitmanYor(alpha, s=s)
+        u = np.full((1, 39), np.nextafter(1.0, 0.0))
+        for urn in (_urn_pitman_yor, _urn_generic):
+            labels = urn(model, u)[0]
+            assert labels.size == 40
+            assert np.unique(labels).tolist() == list(range(s))
+
 
 class TestCategoricalSampler:
     def test_scan_mapping_pinned(self):
@@ -149,7 +168,7 @@ class TestSamplePopulation:
         # reference implementation: tally draws with a dict, which preserves
         # insertion (= first appearance) order
         seed, n = 21, 80
-        draws = CategoricalSampler(pop.probs).draw(_rep_rng(seed, 0), n)
+        draws = CategoricalSampler(pop.probs).draw(np.random.default_rng((seed, 0)), n)
         order: dict[int, int] = {}
         for d in draws.tolist():
             order[d] = order.get(d, 0) + 1
@@ -183,18 +202,43 @@ class TestMonteCarloMoments:
             t.mean("C_99")
 
     def test_first_replicate_matches_sample_gibbs(self, pd_half):
-        # replicate r draws from the (seed, r) stream, so replicate 0 is
-        # exactly the sample sample_gibbs produces for that seed
+        # row 0 of block 0 is the sample sample_gibbs draws for the same seed,
+        # through the Pitman-Yor urn and through the generic urn
         seed, n = 33, 9
-        summ = sample_gibbs(pd_half, n, seed=seed)
-        t = monte_carlo_moments(pd_half, n, reps=100, seed=seed)
-        assert t.reps == 100
-        # rebuild replicate 0 through the population-independent urn path
-        rng = _rep_rng(seed, 0)
-        uniforms = rng.random(n - 1)
-        from goodturing.sampler import _urn_pitman_yor
+        tab = TabularGibbsModel.from_bottom_row(-0.5, np.linspace(0.5, 2.0, 12))
+        for model in (pd_half, tab):
+            summ = sample_gibbs(model, n, seed=seed)
+            first = _replicate_stats(model, n, reps=100, seed=seed, l_max=n)[0]
+            assert first[0] == summ.k
+            assert first[1:].tolist() == [summ.frequency_counts.count(l) for l in range(1, n + 1)]
 
-        assert tuple(_urn_pitman_yor(pd_half, n, uniforms)) == summ.composition.parts
+    def test_block_rows_are_independent_urns(self, pd_half):
+        # each row of a block is the urn its own uniforms drive alone
+        n = 12
+        u = np.random.default_rng((5, 0)).random((40, n - 1))
+        tab = TabularGibbsModel.from_bottom_row(0.3, np.linspace(0.5, 2.0, n))
+        for urn, model in ((_urn_pitman_yor, pd_half), (_urn_generic, pd_half), (_urn_generic, tab)):
+            block = urn(model, u)
+            for i in range(u.shape[0]):
+                np.testing.assert_array_equal(block[i], urn(model, u[i : i + 1])[0])
+            assert block.shape == (u.shape[0], n)
+
+    @pytest.mark.parametrize("kind", ["pitman-yor", "generic", "population"])
+    def test_replicates_do_not_depend_on_reps(self, kind, pop):
+        # the first replicates come out the same whether the run ends inside
+        # the first block or spills into a second one
+        n = 16
+        source = {
+            "pitman-yor": PitmanYor(0.5, 1.0),
+            "generic": TabularGibbsModel.from_bottom_row(-0.5, np.linspace(0.5, 2.0, n)),
+            "population": pop,
+        }[kind]
+        rows = (POPULATION_BLOCK // max(n, pop.s)) if kind == "population" else URN_BLOCK // n
+        short, long = rows - 100, rows + 100
+        a = _replicate_stats(source, n, short, seed=8, l_max=n)
+        b = _replicate_stats(source, n, long, seed=8, l_max=n)
+        np.testing.assert_array_equal(a, b[:short])
+        assert not np.array_equal(b[rows : rows + 100], b[:100])  # block 1 has its own stream
 
     def test_population_source(self, pop):
         t = monte_carlo_moments(pop, 12, reps=400, seed=5)
@@ -211,9 +255,9 @@ class TestMonteCarloMoments:
     def test_population_first_replicate_matches_sample(self, pop):
         seed, n = 77, 30
         summ = sample_population(pop, n, seed=seed)
-        sampler = CategoricalSampler(pop.probs)
-        parts = _population_parts(sampler, n, _rep_rng(seed, 0))
-        assert tuple(parts) == summ.composition.parts
+        first = _replicate_stats(pop, n, reps=100, seed=seed, l_max=n)[0]
+        assert first[0] == summ.k
+        assert first[1:].tolist() == [summ.frequency_counts.count(l) for l in range(1, n + 1)]
 
     def test_validation(self, pd_half, pop):
         with pytest.raises(ValueError):
@@ -236,3 +280,45 @@ def test_moment_table_is_frozen(pd_half):
     t = monte_carlo_moments(pd_half, 4, reps=100, seed=1)
     with pytest.raises(AttributeError):
         t.n = 10
+
+
+def _py_saturated_table(n):
+    # PD(-1, 3) weights as a table: V(m, k) = 0 for k > 3 drives the generic
+    # urn's saturated branch
+    model = PitmanYor(-1.0, s=3)
+    return TabularGibbsModel(-1.0, [np.exp(model.log_weight_row(m, m)) for m in range(1, n + 1)])
+
+
+LAW_MODELS = {
+    "py-0": PitmanYor(0.0, 1.0),
+    "py-0.5": PitmanYor(0.5, 1.0),
+    "py-0.9": PitmanYor(0.9, 1.0),
+    "dirichlet-s3": PitmanYor(-1.0, s=3),
+    "tabular-neg": TabularGibbsModel.from_bottom_row(-0.7, [0.6, 1.9, 0.8, 1.3, 0.5, 1.1]),
+    "tabular-s3": _py_saturated_table(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_MODELS))
+def test_urn_samples_the_exact_law(name):
+    """The law of K_n and the means of C_l against set-partition enumeration.
+
+    Every P(K_n = k) and every E[C_l] within 4 standard errors; a zero
+    standard error with any difference fails.
+    """
+    model, n, reps = LAW_MODELS[name], 6, 200_000
+    stats = _replicate_stats(model, n, reps, seed=2024, l_max=n)
+    k_freq = np.bincount(stats[:, 0], minlength=n + 1)[1:] / reps
+    exact_k = [oracle_stirling(n, k, model.alpha) * math.exp(model.log_weight(n, k)) for k in range(1, n + 1)]
+    k_se = np.sqrt(k_freq * (1.0 - k_freq) / (reps - 1))
+    means = stats[:, 1:].mean(axis=0)
+    c_se = stats[:, 1:].std(axis=0, ddof=1) / math.sqrt(reps)
+    exact_c = [oracle_expected_cl(model, l, n) for l in range(1, n + 1)]
+    for label, got, se, want in zip(
+        [f"P(K={k})" for k in range(1, n + 1)] + [f"E[C_{l}]" for l in range(1, n + 1)],
+        np.concatenate([k_freq, means]),
+        np.concatenate([k_se, c_se]),
+        exact_k + exact_c,
+    ):
+        diff = abs(got - want)
+        assert diff <= 4.0 * se if se > 0 else diff == 0.0, f"{name} {label}: {got} vs {want} (se {se})"
