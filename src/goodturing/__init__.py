@@ -13,64 +13,59 @@ seen exactly l times?  This package computes that probability three ways:
 Everything is cross-checked: brute-force partition enumeration at small n
 (:mod:`goodturing.oracle`), seeded simulation (:mod:`goodturing.sampler`),
 and the identity suites behind ``goodturing verify``.
+
+Importing the package loads no submodule: each public name is imported
+from its submodule on first use (PEP 562), so code that needs only the
+count-based estimators never loads numpy.
 """
 
-from .empirical import (
-    FinitePopulation,
-    FrequencyCounts,
-    UndefinedEstimateError,
-    good_turing_approx,
-    good_turing_ratio,
-    smoothed_count,
-    smoothed_discovery,
-)
-from .gibbs import Composition, GibbsModel, TabularGibbsModel
-from .pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
-from .sampler import (
-    MomentTable,
-    SampleSummary,
-    monte_carlo_moments,
-    sample_gibbs,
-    sample_population,
-)
-from .signedlog import SignedLog, signed_log_sum
-from .specfun import (
-    StirlingRows,
-    log_comb,
-    log_rising,
-    rising_factorial,
-    rising_factorial_step,
-)
-from .verify import CheckResult, run_checks
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FinitePopulation",
-    "FrequencyCounts",
-    "UndefinedEstimateError",
-    "good_turing_approx",
-    "good_turing_ratio",
-    "smoothed_count",
-    "smoothed_discovery",
-    "Composition",
-    "GibbsModel",
-    "TabularGibbsModel",
-    "PitmanYor",
-    "johnson_estimate",
-    "jeffreys_estimate",
-    "SampleSummary",
-    "MomentTable",
-    "sample_gibbs",
-    "sample_population",
-    "monte_carlo_moments",
-    "SignedLog",
-    "signed_log_sum",
-    "rising_factorial",
-    "rising_factorial_step",
-    "log_rising",
-    "log_comb",
-    "StirlingRows",
-    "CheckResult",
-    "run_checks",
-]
+#: public name -> the submodule that defines it
+_SOURCES = {
+    "FinitePopulation": "empirical",
+    "FrequencyCounts": "counts",
+    "UndefinedEstimateError": "counts",
+    "good_turing_approx": "counts",
+    "good_turing_ratio": "counts",
+    "smoothed_count": "counts",
+    "smoothed_discovery": "counts",
+    "Composition": "gibbs",
+    "GibbsModel": "gibbs",
+    "TabularGibbsModel": "gibbs",
+    "PitmanYor": "pitman_yor",
+    "johnson_estimate": "pitman_yor",
+    "jeffreys_estimate": "pitman_yor",
+    "SampleSummary": "sampler",
+    "MomentTable": "sampler",
+    "sample_gibbs": "sampler",
+    "sample_population": "sampler",
+    "monte_carlo_moments": "sampler",
+    "SignedLog": "signedlog",
+    "signed_log_sum": "signedlog",
+    "rising_factorial": "specfun",
+    "rising_factorial_step": "specfun",
+    "log_rising": "specfun",
+    "log_comb": "specfun",
+    "StirlingRows": "specfun",
+    "CheckResult": "verify",
+    "run_checks": "verify",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

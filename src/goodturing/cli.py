@@ -12,6 +12,10 @@ Output is a tab-separated report on stdout: full-precision numbers
 (17 significant digits) by default, 6 with ``--human``.  Identical inputs
 and seeds produce byte-identical reports.  Exit status: 0 success, 1 a
 requested check failed, 2 bad input, 3 estimate undefined at this l.
+
+Only the count-based estimators are imported up front; each other
+subcommand imports the modules it needs when it runs, so ``gt`` and
+``smooth`` start without numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import argparse
 import math
 import sys
 
-from .empirical import (
-    FinitePopulation,
+from .counts import (
     FrequencyCounts,
     UndefinedEstimateError,
     good_turing_approx,
@@ -29,9 +32,6 @@ from .empirical import (
     smoothed_count,
     smoothed_discovery,
 )
-from .pitman_yor import PitmanYor
-from .sampler import monte_carlo_moments
-from .verify import LEVELS, run_checks
 
 __all__ = ["main"]
 
@@ -45,6 +45,9 @@ CHECK_TOL = 1e-9
 
 #: flag threshold, in standard errors, for simulate's analytic comparison
 SE_GATE = 4.0
+
+#: ``verify --level`` choices; the same as verify.LEVELS, without importing verify
+LEVELS = ("fast", "full")
 
 
 class InputError(Exception):
@@ -127,6 +130,21 @@ def _load_counts(args) -> FrequencyCounts:
     return read_sample_file(args.sample)
 
 
+# -- library entry points, imported on first call -------------------------
+
+
+def monte_carlo_moments(source, n, reps, seed, l_max=None):
+    from .sampler import monte_carlo_moments
+
+    return monte_carlo_moments(source, n, reps, seed, l_max=l_max)
+
+
+def run_checks(level):
+    from .verify import run_checks
+
+    return run_checks(level)
+
+
 # -- subcommands ---------------------------------------------------------
 
 
@@ -153,7 +171,9 @@ def cmd_gt(args) -> int:
     return EXIT_OK
 
 
-def _build_model(args) -> PitmanYor:
+def _build_model(args):
+    from .pitman_yor import PitmanYor
+
     if args.alpha is None:
         raise InputError("a Pitman-Yor model needs --alpha (plus --theta, or --s when alpha < 0)")
     return PitmanYor(args.alpha, theta=args.theta, s=args.s)
@@ -213,7 +233,9 @@ def cmd_smooth(args) -> int:
     return EXIT_OK
 
 
-def _parse_pop(text: str) -> FinitePopulation:
+def _parse_pop(text: str):
+    from .empirical import FinitePopulation
+
     try:
         probs = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:

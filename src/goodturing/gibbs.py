@@ -325,16 +325,19 @@ class TabularGibbsModel(GibbsModel):
         return support
 
     def _validate(self, table, support, rtol):
+        # one row at a time, so the first failure reported is the smallest
+        # (n, k) in row-major order
         for n in range(1, len(table)):
-            v_n, v_next = table[n - 1], table[n]
-            for k in range(1, n + 1):
-                lhs = v_n[k - 1]
-                rhs = (n - k * self.alpha) * v_next[k - 1] + v_next[k]
-                if abs(lhs - rhs) > rtol * max(abs(lhs), abs(rhs), 1e-300):
-                    raise ValueError(
-                        f"backward recursion fails at (n={n}, k={k}): "
-                        f"V(n,k)={lhs!r} vs (n-k*alpha)V(n+1,k)+V(n+1,k+1)={rhs!r}"
-                    )
+            lhs, v_next = table[n - 1], table[n]
+            rhs = (n - np.arange(1, n + 1) * self.alpha) * v_next[:-1] + v_next[1:]
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+            bad = np.flatnonzero(np.abs(lhs - rhs) > rtol * scale)
+            if bad.size:
+                k = int(bad[0]) + 1
+                raise ValueError(
+                    f"backward recursion fails at (n={n}, k={k}): "
+                    f"V(n,k)={lhs[k - 1]!r} vs (n-k*alpha)V(n+1,k)+V(n+1,k+1)={rhs[k - 1]!r}"
+                )
 
     @classmethod
     def from_bottom_row(cls, alpha: float, bottom_row, validate: bool = True) -> "TabularGibbsModel":

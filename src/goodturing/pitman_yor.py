@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betaln
 
 from .gibbs import Composition, GibbsModel
 from .specfun import check_discount, log_rising, rising_factorial_step
@@ -143,7 +142,8 @@ class PitmanYor(GibbsModel):
         if not 0.0 < x < 1.0:
             raise ValueError(f"x must lie in (0, 1), got {x}")
         a, b = 1.0 - self.alpha, self.theta + self.alpha
-        return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b))
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta)
 
     def expected_species_structural(self, n: int) -> float:
         """E[K_n] through the structural law: sum_{j<n} E[(1-P)^j].

@@ -273,9 +273,11 @@ def monte_carlo_moments(
 
     ``source`` is a GibbsModel (urn sampling) or FinitePopulation
     (multinomial sampling).  Replicates run in blocks; block b uses the
-    stream keyed by (seed, b) (see the module docstring).  Statistics are
-    aggregated with numpy's pairwise summation over one array of all
-    replicates, so the result does not depend on the block layout.
+    stream keyed by (seed, b) (see the module docstring).  Each statistic
+    and its square are summed over the replicates in integers, which is
+    exact, so the result does not depend on the block layout and memory
+    stays within one block whatever ``reps`` is.  The variance comes from
+    those exact sums, correctly rounded.
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps}")
@@ -285,15 +287,24 @@ def monte_carlo_moments(
         l_max = n
     if not 1 <= l_max <= n:
         raise ValueError(f"need 1 <= l_max <= n, got l_max={l_max}")
-    stats = _replicate_stats(source, n, reps, seed, l_max)
-    means = stats.mean(axis=0)
-    ses = stats.std(axis=0, ddof=1) / np.sqrt(reps)
+    # every statistic is at most n, so int64 holds reps * n^2
+    sums = np.zeros(1 + l_max, dtype=np.int64)
+    squares = np.zeros(1 + l_max, dtype=np.int64)
+    for stats in _replicate_blocks(source, n, reps, seed, l_max):
+        sums += stats.sum(axis=0)
+        squares += (stats * stats).sum(axis=0)
+    # below 2^53 the float conversion is exact: the same means as averaging
+    # the statistics in float64
+    means = sums / reps
+    var = [(reps * q - t * t) / (reps * (reps - 1)) for t, q in zip(sums.tolist(), squares.tolist())]
+    ses = np.sqrt(var) / np.sqrt(reps)
     labels = ("K",) + tuple(f"C_{l}" for l in range(1, l_max + 1))
     return MomentTable(n=n, reps=reps, seed=seed, labels=labels, means=means, ses=ses)
 
 
-def _replicate_stats(source, n: int, reps: int, seed: int, l_max: int) -> np.ndarray:
-    """(reps, 1 + l_max) int32 array: K, C_1 .. C_lmax of every replicate."""
+def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
+    """Yield one (rows, 1 + l_max) int64 array per block: K, C_1 .. C_lmax
+    of each replicate, in replicate order."""
     if isinstance(source, GibbsModel):
         source._check_size(n)
         urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
@@ -312,11 +323,10 @@ def _replicate_stats(source, n: int, reps: int, seed: int, l_max: int) -> np.nda
     else:
         raise ValueError(f"source must be a GibbsModel or FinitePopulation, got {type(source)!r}")
 
-    stats = np.empty((reps, 1 + l_max), dtype=np.int32)
     for b, lo in enumerate(range(0, reps, rows)):
-        hi = min(lo + rows, reps)
-        counts = block(_stream(seed, b), hi - lo)  # species multiplicities, one row per replicate
-        stats[lo:hi, 0] = np.count_nonzero(counts, axis=1)
-        stats[lo:hi, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
+        counts = block(_stream(seed, b), min(rows, reps - lo))  # species multiplicities, one row per replicate
+        stats = np.empty((counts.shape[0], 1 + l_max), dtype=np.int64)
+        stats[:, 0] = np.count_nonzero(counts, axis=1)
+        stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
         del counts  # free the block before the next one is drawn
-    return stats
+        yield stats

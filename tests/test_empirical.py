@@ -104,7 +104,7 @@ class TestSmoothing:
         assert smoothed_count(0.5, 10, 3) == pytest.approx(0.625, rel=1e-13)
 
     def test_validation(self):
-        for bad_alpha in (0.0, 1.0, -0.2, 1.3):
+        for bad_alpha in (0.0, 1.0, -0.2, 1.3, math.nan):
             with pytest.raises(ValueError):
                 smoothed_count(bad_alpha, 10, 1)
         with pytest.raises(ValueError):
@@ -115,6 +115,19 @@ class TestSmoothing:
             smoothed_discovery(0.5, 10, 5, -1)
         with pytest.raises(ValueError):
             smoothed_discovery(0.5, 10, 0, 1)
+
+    @pytest.mark.parametrize("k_n, l", [(math.nan, 1), (math.inf, 1), (10.5, 2)])
+    def test_count_rejects_non_integer_k_n(self, k_n, l):
+        with pytest.raises(ValueError, match="k_n"):
+            smoothed_count(0.5, k_n, l)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5])
+    def test_non_integer_arguments_rejected(self, bad):
+        with pytest.raises(ValueError, match="l must"):
+            smoothed_count(0.5, 10, bad)
+        for args, name in (((bad, 20, 1), "k_n"), ((10, bad, 1), "n"), ((10, 20, bad), "l")):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                smoothed_discovery(0.5, *args)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_partial_sums(self, alpha):
@@ -214,6 +227,25 @@ class TestFinitePopulation:
             want = mpmath.fsum(1 - (1 - mpmath.mpf(float(p))) ** 10 for p in pop.probs)
             err = abs((pop.expected_species(10) - want) / want)
         assert err <= 1e-14
+
+    def test_expected_count_large_population(self):
+        # s = 10^5, n = 4000: log C(n, l) from lgamma differences is off by
+        # up to 5e-12, the exact integer binomial by 3e-17.  The species
+        # share 1000 distinct frequencies, so the 40-digit reference sums
+        # 1000 terms with multiplicities
+        mpmath = pytest.importorskip("mpmath")
+        w = np.repeat(np.random.default_rng(1).gamma(1.0, size=1000), 100)
+        pop = FinitePopulation(w / w.sum())
+        values, mult = np.unique(pop.probs, return_counts=True)
+        n = 4000
+        with mpmath.workdps(40):
+            for l in (1, 3, 10, 50):
+                kernel = mpmath.fsum(
+                    int(m) * mpmath.mpf(float(p)) ** l * (1 - mpmath.mpf(float(p))) ** (n - l)
+                    for p, m in zip(values, mult)
+                )
+                want = mpmath.binomial(n, l) * kernel
+                assert abs((pop.expected_count(l, n) - want) / want) <= 1e-13, l
 
     def test_single_species_population(self):
         pop = FinitePopulation([1.0])

@@ -293,6 +293,40 @@ def test_validate_flag_skips_consistency_check():
         TabularGibbsModel(0.5, rows, validate=True)
 
 
+def _first_recursion_failure(alpha, table, rtol=1e-8):
+    # the scalar loop the vectorized validation replaced, as the reference
+    for n in range(1, len(table)):
+        v_n, v_next = table[n - 1], table[n]
+        for k in range(1, n + 1):
+            lhs = v_n[k - 1]
+            rhs = (n - k * alpha) * v_next[k - 1] + v_next[k]
+            if abs(lhs - rhs) > rtol * max(abs(lhs), abs(rhs), 1e-300):
+                return (
+                    f"backward recursion fails at (n={n}, k={k}): "
+                    f"V(n,k)={lhs!r} vs (n-k*alpha)V(n+1,k)+V(n+1,k+1)={rhs!r}"
+                )
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validation_reports_first_failure_like_the_loop(seed):
+    # perturb a few entries of a valid table; the error names the first
+    # failing (n, k) in row-major order with the loop's exact message
+    rng = np.random.default_rng(seed)
+    alpha = float(rng.uniform(-1.0, 0.9))
+    good = TabularGibbsModel.from_bottom_row(alpha, rng.uniform(0.5, 2.0, 30))
+    table = [np.exp(good.log_weight_row(n, n)) for n in range(1, 31)]
+    for _ in range(3):
+        n = int(rng.integers(2, 31))
+        k = int(rng.integers(1, n + 1))
+        table[n - 1][k - 1] *= 1.0 + float(rng.choice([-1, 1])) * 10.0 ** rng.uniform(-7, -2)
+    want = _first_recursion_failure(alpha, table)
+    assert want is not None
+    with pytest.raises(ValueError) as exc:
+        TabularGibbsModel(alpha, table)
+    assert str(exc.value) == want
+
+
 def test_from_bottom_row_rejects_nonpositive():
     with pytest.raises(ValueError):
         TabularGibbsModel.from_bottom_row(0.5, [1.0, 0.0, 1.0])

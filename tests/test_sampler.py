@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +18,15 @@ from goodturing.sampler import (
     monte_carlo_moments,
     sample_gibbs,
     sample_population,
-    _replicate_stats,
+    _replicate_blocks,
     _urn_generic,
     _urn_pitman_yor,
 )
+
+
+def _replicate_stats(source, n, reps, seed, l_max):
+    """(reps, 1 + l_max) array: K, C_1 .. C_lmax of every replicate."""
+    return np.concatenate(list(_replicate_blocks(source, n, reps, seed, l_max)))
 
 
 class FakeRng:
@@ -274,6 +281,34 @@ class TestMonteCarloMoments:
     def test_l_max_defaults_to_n(self, pop):
         t = monte_carlo_moments(pop, 4, reps=100, seed=3)
         assert t.labels == ("K", "C_1", "C_2", "C_3", "C_4")
+
+
+def test_moments_come_from_exact_sums(pd_half, pop):
+    # means equal float64 averages of the statistics bit for bit; the
+    # variance is the exact rational one, correctly rounded
+    for source, n in ((pd_half, 9), (pop, 7)):
+        reps = 2500
+        stats = _replicate_stats(source, n, reps, seed=4, l_max=n)
+        t = monte_carlo_moments(source, n, reps, seed=4)
+        np.testing.assert_array_equal(t.means, stats.mean(axis=0))
+        for j, column in enumerate(stats.T.tolist()):
+            mean = Fraction(sum(column), reps)
+            var = sum((Fraction(v) - mean) ** 2 for v in column) / (reps - 1)
+            assert t.ses[j] == np.sqrt(float(var)) / np.sqrt(reps)
+
+
+def test_memory_does_not_grow_with_reps():
+    # statistics are summed block by block; keeping every replicate's row
+    # took 46 MiB at 20 000 replicates
+    model = PitmanYor(0.5, 1.0)
+    monte_carlo_moments(model, 200, 100, 1)  # imports and first-call set-up
+    tracemalloc.start()
+    try:
+        monte_carlo_moments(model, 200, 20_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_moment_table_is_frozen(pd_half):
