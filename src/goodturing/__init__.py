@@ -43,10 +43,6 @@ _SOURCES = {
     "sample_gibbs": "sampler",
     "sample_population": "sampler",
     "monte_carlo_moments": "sampler",
-    "SignedLog": "signedlog",
-    "signed_log_sum": "signedlog",
-    "rising_factorial": "specfun",
-    "rising_factorial_step": "specfun",
     "log_rising": "specfun",
     "log_comb": "specfun",
     "StirlingRows": "specfun",

@@ -300,6 +300,15 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------
 
 
+def _add_model_args(p, alpha_required: bool) -> None:
+    # argparse takes "-1e-1" for an option, so an exponent form needs "--alpha=-1e-1"
+    p.add_argument("--alpha", type=float, required=alpha_required,
+                   help="discount parameter, alpha < 1 (a negative exponent form needs --alpha=-1e-1)")
+    p.add_argument("--theta", type=float,
+                   help="concentration; required when alpha >= 0 (a negative exponent form needs --theta=-1e-1)")
+    p.add_argument("--s", type=int, help="species bound for alpha < 0 (theta = |alpha| s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--human", action="store_true", help="round output to 6 significant digits")
@@ -319,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gt)
 
     p = sub.add_parser("bnp", parents=[common], help="exact discovery probability under Pitman-Yor")
-    p.add_argument("--alpha", type=float, required=True, help="discount parameter, alpha < 1")
-    p.add_argument("--theta", type=float, help="concentration; required when alpha >= 0")
-    p.add_argument("--s", type=int, help="species bound for alpha < 0 (theta = |alpha| s)")
+    _add_model_args(p, alpha_required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("closed", "stirling"), default="closed",
@@ -338,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("simulate", parents=[common], help="seeded Monte Carlo moments vs analytic values")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--s", type=int)
+    _add_model_args(p, alpha_required=False)
     p.add_argument("--pop", metavar="P1,P2,...", help="simulate a fixed population instead of a model")
     p.add_argument("--n", type=int, required=True, help="sample size per replicate")
     p.add_argument("--reps", type=int, default=10_000)

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signedlog import ZERO, SignedLog
 from .specfun import StirlingRows, log_comb, log_rising, logsumexp
 
 __all__ = ["Composition", "GibbsModel", "TabularGibbsModel"]
 
 _NEG_INF = float("-inf")
+
+#: relative tolerance of the backward-recursion check on weight tables
+_RECURSION_RTOL = 1e-8
 
 #: Stirling rows per block in exact_good_turing_row
 _ROW_BLOCK = 128
@@ -78,7 +80,7 @@ class Composition:
 
 
 class GibbsModel:
-    """Base class: subclasses supply ``log_weight`` (log V(n, k)).
+    """Base class: subclasses supply ``log_weight_row`` (log V(n, k) by rows).
 
     ``max_size`` bounds the sample sizes the weights are available for
     (None = unbounded); ``max_blocks`` marks weight support that stops at a
@@ -96,18 +98,25 @@ class GibbsModel:
 
     # -- weights ---------------------------------------------------------
 
-    def log_weight(self, n: int, k: int) -> float:
-        """log V(n, k); -inf where the weight vanishes (k beyond support)."""
+    def log_weight_row(self, n: int, kmax: int) -> np.ndarray:
+        """log V(n, k) for k = 1..kmax as an array (index j holds k = j+1).
+
+        The one primitive a model supplies: -inf where the weight vanishes
+        (k beyond support).  Implementations start with
+        ``self._check_row(n, kmax)``.
+        """
         raise NotImplementedError
 
-    def log_weight_row(self, n: int, kmax: int) -> np.ndarray:
-        """log V(n, k) for k = 1..kmax as an array (index j holds k = j+1)."""
-        return np.array([self.log_weight(n, k) for k in range(1, kmax + 1)])
+    def log_weight(self, n: int, k: int) -> float:
+        """log V(n, k), read from :meth:`log_weight_row`."""
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        return float(self.log_weight_row(n, k)[k - 1])
 
-    def weight(self, n: int, k: int) -> SignedLog:
-        """V(n, k) as a SignedLog (weights are never negative)."""
-        lw = self.log_weight(n, k)
-        return ZERO if lw == _NEG_INF else SignedLog(1, lw)
+    def _check_row(self, n: int, kmax: int):
+        self._check_size(n)
+        if not 1 <= kmax <= n:
+            raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
 
     def _check_size(self, n: int, what: str = "n"):
         if n < 1:
@@ -158,24 +167,6 @@ class GibbsModel:
         if lw_n == _NEG_INF:
             raise ValueError(f"V({n},{k}) = 0: state outside model support")
         return math.exp(self.log_weight(n + 1, k + 1) - lw_n)
-
-    def predictive_probs(self, counts) -> tuple[np.ndarray, float]:
-        """Per-species and new-species probabilities for the urn sampler.
-
-        Generic route through the weights; closed-form models override.
-        """
-        counts = np.asarray(counts, dtype=float)
-        k = len(counts)
-        if k == 0:
-            return counts, 1.0  # empty urn: the first draw is always new
-        n = int(counts.sum())
-        lw_n = self.log_weight(n, k)
-        if lw_n == _NEG_INF:
-            raise ValueError(f"V({n},{k}) = 0: state outside model support")
-        ratio_old = math.exp(self.log_weight(n + 1, k) - lw_n)
-        old = (counts - self.alpha) * ratio_old
-        new = math.exp(self.log_weight(n + 1, k + 1) - lw_n)
-        return old, new
 
     # -- moments of the frequency counts ---------------------------------
 
@@ -290,7 +281,7 @@ class TabularGibbsModel(GibbsModel):
     inconsistent tables are rejected.
     """
 
-    def __init__(self, alpha: float, rows, validate: bool = True, rtol: float = 1e-8):
+    def __init__(self, alpha: float, rows):
         table = [np.asarray(r, dtype=float) for r in rows]
         n_max = len(table)
         if n_max < 1:
@@ -304,16 +295,14 @@ class TabularGibbsModel(GibbsModel):
         super().__init__(alpha, max_size=n_max)
         if abs(table[0][0] - 1.0) > 1e-12:
             raise ValueError(f"V(1,1) must be 1, got {table[0][0]}")
-        support = self._support_lengths(table)
+        self._check_support(table)
         with np.errstate(divide="ignore"):
             self._log_rows = [np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), -np.inf) for r in table]
-        if validate:
-            self._validate(table, support, rtol)
+        self._validate(table)
 
     @staticmethod
-    def _support_lengths(table) -> list[int]:
+    def _check_support(table):
         # weights must be positive for k = 1..support(n) and zero beyond
-        support = []
         for n, row in enumerate(table, start=1):
             if np.any(row < 0):
                 raise ValueError(f"negative weight in row n={n}")
@@ -321,17 +310,15 @@ class TabularGibbsModel(GibbsModel):
             kmax = int(np.max(np.nonzero(pos)[0])) + 1 if pos.any() else 0
             if kmax == 0 or not pos[:kmax].all():
                 raise ValueError(f"row n={n} must be strictly positive up to its support")
-            support.append(kmax)
-        return support
 
-    def _validate(self, table, support, rtol):
+    def _validate(self, table):
         # one row at a time, so the first failure reported is the smallest
         # (n, k) in row-major order
         for n in range(1, len(table)):
             lhs, v_next = table[n - 1], table[n]
             rhs = (n - np.arange(1, n + 1) * self.alpha) * v_next[:-1] + v_next[1:]
             scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-            bad = np.flatnonzero(np.abs(lhs - rhs) > rtol * scale)
+            bad = np.flatnonzero(np.abs(lhs - rhs) > _RECURSION_RTOL * scale)
             if bad.size:
                 k = int(bad[0]) + 1
                 raise ValueError(
@@ -340,7 +327,7 @@ class TabularGibbsModel(GibbsModel):
                 )
 
     @classmethod
-    def from_bottom_row(cls, alpha: float, bottom_row, validate: bool = True) -> "TabularGibbsModel":
+    def from_bottom_row(cls, alpha: float, bottom_row) -> "TabularGibbsModel":
         """Build a valid table from an arbitrary positive bottom row.
 
         The backward recursion determines every row above the bottom one;
@@ -358,16 +345,8 @@ class TabularGibbsModel(GibbsModel):
             rows[n - 1] = (n - ks * alpha) * below[:n] + below[1 : n + 1]
         scale = rows[0][0]
         rows = [r / scale for r in rows]
-        return cls(alpha, rows, validate=validate)
-
-    def log_weight(self, n: int, k: int) -> float:
-        self._check_size(n)
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        return float(self._log_rows[n - 1][k - 1])
+        return cls(alpha, rows)
 
     def log_weight_row(self, n: int, kmax: int) -> np.ndarray:
-        self._check_size(n)
-        if not 1 <= kmax <= n:
-            raise ValueError(f"need 1 <= kmax <= n, got kmax={kmax}, n={n}")
+        self._check_row(n, kmax)
         return self._log_rows[n - 1][:kmax]

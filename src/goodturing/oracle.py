@@ -15,11 +15,11 @@ import math
 from typing import Iterator
 
 from .gibbs import Composition, GibbsModel
-from .specfun import rising_factorial
 
 __all__ = [
     "MAX_N",
     "bell_number",
+    "rising_factorial",
     "PartitionEnumeration",
     "enumerate_partitions",
     "oracle_eppf_total",
@@ -92,16 +92,25 @@ def _block_size_sequences(n: int):
     yield from go(0, 0)
 
 
+def rising_factorial(x: float, m: int) -> float:
+    """(x)_m = x (x+1) ... (x+m-1) as a plain float product; 1.0 at m = 0.
+
+    The oracle's own, so it shares no code with the log-space
+    :func:`goodturing.specfun.log_rising` the model formulas use.
+    """
+    return math.prod(x + i for i in range(m))
+
+
 def _block_weights(alpha: float, n: int) -> list[float]:
     """(1-alpha)_(m-1) for block sizes m = 0..n (index 0 unused)."""
-    return [0.0] + [rising_factorial(1.0 - alpha, m - 1).to_float() for m in range(1, n + 1)]
+    return [0.0] + [rising_factorial(1.0 - alpha, m - 1) for m in range(1, n + 1)]
 
 
 def _weight_table(model: GibbsModel, n: int) -> list[list[float]]:
     """V(m, k) as plain floats for m = 1..n; index [m][k], zeros padded."""
     table: list[list[float]] = [[]]
     for m in range(1, n + 1):
-        table.append([0.0] + [model.weight(m, k).to_float() for k in range(1, m + 1)])
+        table.append([0.0] + [math.exp(lw) for lw in model.log_weight_row(m, m)])
     return table
 
 

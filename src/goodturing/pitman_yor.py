@@ -31,11 +31,9 @@ import math
 import numpy as np
 
 from .gibbs import Composition, GibbsModel
-from .specfun import check_discount, log_rising, rising_factorial_step
+from .specfun import check_discount, log_rising
 
 __all__ = ["PitmanYor", "johnson_estimate", "jeffreys_estimate"]
-
-_NEG_INF = float("-inf")
 
 #: minimum admissible value of theta + alpha (guard band around the open boundary)
 _THETA_GUARD = 1e-12
@@ -84,36 +82,20 @@ class PitmanYor(GibbsModel):
 
     # -- weights ---------------------------------------------------------
 
-    def log_weight(self, n: int, k: int) -> float:
-        self._check_size(n)
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if self.s is not None and k > self.s:
-            return _NEG_INF
-        num = rising_factorial_step(self.theta + self.alpha, k - 1, self.alpha)
-        if num.sign <= 0:
-            return _NEG_INF
-        return num.logmag - log_rising(self.theta + 1.0, n - 1)
-
     def log_weight_row(self, n: int, kmax: int) -> np.ndarray:
-        """Whole row at once: a cumulative sum over log(theta + k*alpha)."""
-        self._check_size(n)
+        """Whole row at once: a cumulative sum over log(theta + k*alpha).
+
+        Entries are -inf from the first nonpositive factor on, and for k > s
+        when the species count s is finite.
+        """
+        self._check_row(n, kmax)
         factors = self.theta + self.alpha * np.arange(1, kmax, dtype=float)
         with np.errstate(divide="ignore"):
             logs = np.where(factors > 0, np.log(np.where(factors > 0, factors, 1.0)), -np.inf)
         row = np.concatenate(([0.0], np.cumsum(logs)))
+        if self.s is not None:
+            row[self.s :] = -np.inf  # theta may differ from |alpha| s by rounding
         return row - log_rising(self.theta + 1.0, n - 1)
-
-    def predictive_probs(self, counts) -> tuple[np.ndarray, float]:
-        # closed-form urn rule; the generic weight route gives the same values
-        counts = np.asarray(counts, dtype=float)
-        k = len(counts)
-        if k == 0:
-            return counts, 1.0
-        n = counts.sum()
-        denom = self.theta + n
-        new = 0.0 if self.s is not None and k >= self.s else (self.theta + k * self.alpha) / denom
-        return (counts - self.alpha) / denom, new
 
     # -- closed forms ----------------------------------------------------
 

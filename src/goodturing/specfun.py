@@ -1,6 +1,9 @@
-"""Special functions: rising factorials, log binomials, log-sum-exp and the
-generalized Stirling triangle, with signed log-space arithmetic
-re-exported from :mod:`.signedlog`.
+"""Special functions in log space: log rising factorials, log binomials,
+log-sum-exp and the generalized Stirling triangle.
+
+The rising factorials, binomials and Stirling entries are all
+nonnegative, so each is carried as a plain float64 log, with -inf standing
+for zero.
 
 The triangle computed here is the one indexed by a discount parameter
 ``a < 1``: entry (n, k) is the sum, over set partitions of {1..n} into k
@@ -28,15 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .signedlog import ONE, ZERO, SignedLog, signed_log_sum
-
 __all__ = [
-    "SignedLog",
-    "ZERO",
-    "ONE",
-    "signed_log_sum",
-    "rising_factorial",
-    "rising_factorial_step",
     "log_rising",
     "log_comb",
     "logsumexp",
@@ -53,43 +48,8 @@ DENSE_ROWS = 1024
 CHECKPOINT_STRIDE = 64
 
 
-def rising_factorial(x: float, m: int) -> SignedLog:
-    """(x)_m = x (x+1) ... (x+m-1), as a SignedLog; the empty product is 1.
-
-    Any real x is allowed: the result is zero when a factor vanishes and
-    negative when an odd number of factors are negative.
-    """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if m == 0:
-        return ONE
-    return _signed_product(x + np.arange(m, dtype=float))
-
-
-def rising_factorial_step(x: float, m: int, step: float) -> SignedLog:
-    """Step-``step`` rising factorial: the product of x + i*step for i < m.
-
-    ``step=1`` delegates to :func:`rising_factorial` so the two agree
-    exactly; ``step=0`` gives x**m.
-    """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if step == 1.0:
-        return rising_factorial(x, m)
-    if m == 0:
-        return ONE
-    return _signed_product(x + step * np.arange(m, dtype=float))
-
-
-def _signed_product(factors: np.ndarray) -> SignedLog:
-    if np.any(factors == 0.0):
-        return ZERO
-    sign = -1 if int(np.count_nonzero(factors < 0)) % 2 else 1
-    return SignedLog(sign, float(np.sum(np.log(np.abs(factors)))))
-
-
 def log_rising(x: float, m: int) -> float:
-    """log (x)_m for strictly positive x; the fast path used by model sums."""
+    """log (x)_m = log x (x+1) ... (x+m-1) for strictly positive x; 0.0 at m = 0."""
     if m == 0:
         return 0.0
     if x <= 0:

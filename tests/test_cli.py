@@ -189,6 +189,23 @@ class TestBnp:
         )
         assert code == 2 and "finite" in err and out == ""
 
+    def test_negative_exponent_form_needs_equals_sign(self, capsys):
+        # argparse takes "-1e-1" for an option; "--alpha=-1e-1" passes it as a value
+        with pytest.raises(SystemExit) as exc:
+            main(["bnp", "--alpha", "-1e-1", "--s", "3", "--l", "1", "--n", "2"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "bnp", "--alpha=-1e-1", "--s", "3", "--l", "1", "--n", "2")
+        assert code == 0
+        assert float(report_dict(out)["estimate"]) == pytest.approx(1.1 / 2.3, rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["bnp", "simulate"])
+    def test_help_names_the_equals_form(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--alpha=-1e-1" in help_text and "--theta=-1e-1" in help_text
+
     def test_alpha_required_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bnp", "--theta", "1", "--l", "1", "--n", "2"])

@@ -31,7 +31,9 @@ def test_composition_basics():
 def test_base_class_requires_log_weight():
     model = GibbsModel(0.5)
     with pytest.raises(NotImplementedError):
-        model.log_weight(1, 1)
+        model.log_weight_row(1, 1)
+    with pytest.raises(NotImplementedError):
+        model.log_weight(1, 1)  # the scalar reads the row
 
 
 def test_alpha_validation():
@@ -77,32 +79,33 @@ def test_predictive_validation(pd_half):
         pd_half.predict_new(0, 1)
 
 
-def test_predictive_probs_sum_to_one(pd_half):
+def test_predict_sums_to_one(pd_half):
     for counts in ([1], [2, 1], [5, 3, 1, 1], [1] * 7):
-        old, new = pd_half.predictive_probs(counts)
-        assert old.sum() + new == pytest.approx(1.0, rel=1e-12)
-        assert np.all(old > 0) and new > 0
+        n, k = sum(counts), len(counts)
+        old = [pd_half.predict_old(n, k, n_j) for n_j in counts]
+        new = pd_half.predict_new(n, k)
+        assert math.fsum(old) + new == pytest.approx(1.0, rel=1e-12)
+        assert min(old) > 0 and new > 0
 
 
-def test_predictive_probs_empty_urn(pd_half):
-    old, new = pd_half.predictive_probs([])
-    assert len(old) == 0 and new == 1.0
+def test_predict_new_matches_closed_form(pd_half):
+    # (theta + k alpha)/(theta + n), from the first draw on
+    for n, k in ((1, 1), (2, 1), (2, 2), (7, 3), (40, 40)):
+        assert pd_half.predict_new(n, k) == pytest.approx((0.5 + k * 0.5) / (0.5 + n), rel=1e-12)
 
 
-def test_predictive_probs_generic_matches_closed(pd_half):
-    # the base-class route through the weights vs the Pitman-Yor shortcut
+def test_predict_old_matches_closed_form(pd_half):
+    # (n_j - alpha)/(theta + n) through the weights
     for counts in ([1], [3, 1], [2, 2, 1]):
-        old_c, new_c = pd_half.predictive_probs(counts)
-        old_g, new_g = GibbsModel.predictive_probs(pd_half, counts)
-        np.testing.assert_allclose(old_g, old_c, rtol=1e-12)
-        assert new_g == pytest.approx(new_c, rel=1e-12)
+        n, k = sum(counts), len(counts)
+        for n_j in counts:
+            assert pd_half.predict_old(n, k, n_j) == pytest.approx((n_j - 0.5) / (0.5 + n), rel=1e-12)
 
 
-def test_predictive_probs_saturated_support():
+def test_predict_new_vanishes_at_saturated_support():
     m = PitmanYor(-0.5, s=2)
-    old, new = m.predictive_probs([3, 2])
-    assert new == 0.0
-    assert old.sum() == pytest.approx(1.0, rel=1e-12)
+    assert m.predict_new(5, 2) == 0.0
+    assert m.predict_old(5, 2, 3) + m.predict_old(5, 2, 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_expected_count_pinned(pd_half):
@@ -218,7 +221,7 @@ def test_max_size_enforced():
 def test_from_bottom_row_builds_valid_table():
     m = TabularGibbsModel.from_bottom_row(0.3, [2.0, 1.0, 0.5, 0.25, 0.125])
     assert math.exp(m.log_weight(1, 1)) == pytest.approx(1.0, rel=1e-14)
-    # recursion holds everywhere by construction (validate=True did not raise)
+    # recursion holds everywhere by construction (validation did not raise)
     for n in range(1, 5):
         for k in range(1, n + 1):
             lhs = math.exp(m.log_weight(n, k))
@@ -262,15 +265,13 @@ def test_tabular_rejects_non_finite_weights(rows):
     # NaN and inf pass the positivity and recursion comparisons
     with pytest.raises(ValueError, match="finite"):
         TabularGibbsModel(0.5, rows)
-    with pytest.raises(ValueError, match="finite"):
-        TabularGibbsModel(0.5, rows, validate=False)
 
 
 def test_tabular_support_must_be_contiguous():
     # row with an interior zero: V(3,2) = 0 but V(3,3) > 0
     rows = [[1.0], [0.6, 0.1], [0.2, 0.0, 0.1]]
     with pytest.raises(ValueError, match="support"):
-        TabularGibbsModel(0.5, rows, validate=False)
+        TabularGibbsModel(0.5, rows)
 
 
 def test_tabular_degenerate_single_species():
@@ -286,11 +287,23 @@ def test_tabular_degenerate_single_species():
     assert m.eppf(Composition((4, 1))) == 0.0
 
 
-def test_validate_flag_skips_consistency_check():
-    rows = [[1.0], [0.9, 0.1]]  # recursion violated
-    TabularGibbsModel(0.5, rows, validate=False)  # does not raise
-    with pytest.raises(ValueError):
-        TabularGibbsModel(0.5, rows, validate=True)
+def test_inconsistent_table_is_rejected():
+    # V(1,1) = (1-alpha) V(2,1) + V(2,2) = 0.5 * 1.0 + 0.5, checked to rel 1e-8
+    TabularGibbsModel(0.5, [[1.0], [1.0, 0.5 * (1 + 1e-10)]])
+    for rows in ([[1.0], [1.0, 0.5 * (1 + 1e-6)]], [[1.0], [0.9, 0.1]]):
+        with pytest.raises(ValueError, match="recursion"):
+            TabularGibbsModel(0.5, rows)
+
+
+@pytest.mark.parametrize("make", [lambda: PitmanYor(0.5, 1.0), lambda: PitmanYor(-0.5, s=2),
+                                  lambda: TabularGibbsModel.from_bottom_row(0.5, np.ones(5))],
+                         ids=["pitman-yor", "pitman-yor-finite", "tabular"])
+@pytest.mark.parametrize("kmax", [10, 4, 0, -2])
+def test_log_weight_row_rejects_kmax_out_of_range(make, kmax):
+    model = make()
+    with pytest.raises(ValueError, match="kmax"):
+        model.log_weight_row(3, kmax)
+    assert len(model.log_weight_row(3, 3)) == 3
 
 
 def _first_recursion_failure(alpha, table, rtol=1e-8):

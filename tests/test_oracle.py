@@ -14,6 +14,7 @@ from goodturing.oracle import (
     oracle_falling_moment,
     oracle_moment_table,
     oracle_stirling,
+    rising_factorial,
 )
 from goodturing.pitman_yor import PitmanYor
 from goodturing.specfun import StirlingRows
@@ -27,6 +28,14 @@ def test_bell_numbers():
         assert bell_number(n) == b
     with pytest.raises(ValueError):
         bell_number(-1)
+
+
+def test_rising_factorial_values():
+    assert rising_factorial(0.5, 2) == 0.75
+    assert rising_factorial(2.0, 3) == 24.0  # 2*3*4
+    assert rising_factorial(3.0, 0) == 1.0  # the empty product
+    assert rising_factorial(0.0, 1) == 0.0
+    assert rising_factorial(-2.0, 3) == 0.0  # hits the factor at 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
-from goodturing.gibbs import Composition, GibbsModel
+from goodturing.gibbs import Composition
 from goodturing.pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
 
 
@@ -62,12 +62,29 @@ def test_weights_pinned():
     assert m.log_weight(1, 1) == 0.0
 
 
-def test_weight_row_matches_entries():
-    for m in (PitmanYor(0.5, 0.5), PitmanYor(0.0, 2.0), PitmanYor(-0.5, s=3), PitmanYor(0.9, -0.3)):
-        for n in (1, 3, 8):
-            row = m.log_weight_row(n, n)
-            want = [m.log_weight(n, k) for k in range(1, n + 1)]
-            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+def test_weight_row_matches_mpmath():
+    # V(n, k) = prod_{i<k} (theta + i alpha) / (theta + 1)_(n-1), in 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    models = [PitmanYor(0.5, 0.5), PitmanYor(0.0, 2.0), PitmanYor(-0.5, s=40),
+              PitmanYor(0.9, -0.3), PitmanYor(0.25, -0.1)]
+    n_top = 3000
+    with mpmath.workdps(40):
+        for m in models:
+            a, t = mpmath.mpf(m.alpha), mpmath.mpf(m.theta)
+            kmax = n_top if m.s is None else m.s
+            log_num = [mpmath.mpf(0)]
+            for i in range(1, kmax):
+                log_num.append(log_num[-1] + mpmath.log(t + i * a))
+            log_den = [mpmath.mpf(0)]
+            for i in range(1, n_top):
+                log_den.append(log_den[-1] + mpmath.log(t + i))
+            for n in (1, 2, 10, 1000, n_top):
+                row = m.log_weight_row(n, n)
+                if m.s is not None:
+                    assert np.all(row[m.s:] == -math.inf), (m, n)
+                for k in range(1, min(n, kmax) + 1):
+                    want = log_num[k - 1] - log_den[n - 1]
+                    assert abs(mpmath.expm1(row[k - 1] - want)) <= 1e-9, (m, n, k)
 
 
 def test_finite_support_weights_vanish():
@@ -76,6 +93,13 @@ def test_finite_support_weights_vanish():
     row = m.log_weight_row(5, 5)
     assert np.all(np.isinf(row[2:]))
     assert np.all(np.isfinite(row[:2]))
+    # theta within the accepted rounding of |alpha| s leaves factor theta + s alpha
+    # slightly positive; the weights still vanish beyond s species
+    m = PitmanYor(-0.1, theta=0.3 + 1e-11, s=3)
+    assert m.theta + 3 * m.alpha > 0
+    row = m.log_weight_row(6, 6)
+    assert np.all(np.isinf(row[3:])) and np.all(np.isfinite(row[:3]))
+    assert m.log_weight(6, 4) == -math.inf
 
 
 def test_backward_recursion_small_grid():
@@ -201,9 +225,17 @@ def test_finite_model_species_bounded():
 
 
 def test_generic_weight_route_matches_closed_urn():
-    m = PitmanYor(0.5, 0.5)
-    for counts in ([1], [2, 1], [3, 3, 1]):
-        old_c, new_c = m.predictive_probs(counts)
-        old_g, new_g = GibbsModel.predictive_probs(m, counts)
-        np.testing.assert_allclose(old_g, old_c, rtol=1e-12)
-        assert new_g == pytest.approx(new_c, rel=1e-12)
+    # predict_old/predict_new through the weights vs the urn rule
+    # (n_j - alpha)/(theta + n) and (theta + k alpha)/(theta + n), 0 at k = s
+    for m in (PitmanYor(0.5, 0.5), PitmanYor(0.0, 2.0), PitmanYor(0.9, -0.3), PitmanYor(-0.5, s=3)):
+        for counts in ([1], [2, 1], [3, 3, 1]):
+            n, k = sum(counts), len(counts)
+            old = [m.predict_old(n, k, n_j) for n_j in counts]
+            for n_j, got in zip(counts, old):
+                assert got == pytest.approx((n_j - m.alpha) / (m.theta + n), rel=1e-12)
+            new = m.predict_new(n, k)
+            if m.s is not None and k == m.s:
+                assert new == 0.0
+            else:
+                assert new == pytest.approx((m.theta + k * m.alpha) / (m.theta + n), rel=1e-12)
+            assert math.fsum(old) + new == pytest.approx(1.0, rel=1e-12)

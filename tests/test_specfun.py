@@ -5,7 +5,6 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from goodturing import specfun
-from goodturing.signedlog import ONE, ZERO
 from goodturing.specfun import (
     CHECKPOINT_STRIDE,
     DENSE_ROWS,
@@ -14,8 +13,6 @@ from goodturing.specfun import (
     log_comb,
     log_rising,
     logsumexp,
-    rising_factorial,
-    rising_factorial_step,
 )
 
 # unsigned Stirling numbers of the first kind, rows n = 1..6 (the alpha = 0 case)
@@ -29,52 +26,10 @@ STIRLING1 = {
 }
 
 
-def test_rising_factorial_values():
-    assert float(rising_factorial(0.5, 2)) == pytest.approx(0.75, rel=1e-15)
-    assert rising_factorial(3.0, 0) == ONE
-    assert float(rising_factorial(2.0, 3)) == pytest.approx(24.0, rel=1e-14)  # 2*3*4
-    assert rising_factorial(0.0, 1) == ZERO
-    assert rising_factorial(-2.0, 3) == ZERO  # hits the factor at 0
-
-
-def test_rising_factorial_signs():
-    # (-1.5)(-0.5) > 0, one negative factor < 0
-    assert float(rising_factorial(-1.5, 2)) == pytest.approx(0.75, rel=1e-14)
-    assert float(rising_factorial(-1.5, 1)) == pytest.approx(-1.5, rel=1e-15)
-    assert rising_factorial(-0.5, 3).sign == -1  # (-0.5)(0.5)(1.5)
-
-
-def test_rising_factorial_matches_direct_product():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        x = float(rng.uniform(-3, 3))
-        m = int(rng.integers(0, 8))
-        want = math.prod(x + i for i in range(m))
-        got = float(rising_factorial(x, m))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_rising_factorial_rejects_negative_m():
-    with pytest.raises(ValueError):
-        rising_factorial(1.0, -1)
-
-
-def test_step_variant():
-    assert float(rising_factorial_step(1.0, 2, 0.5)) == pytest.approx(1.5, rel=1e-15)
-    # step 1 must agree exactly with the plain version
-    assert rising_factorial_step(0.7, 5, 1.0) == rising_factorial(0.7, 5)
-    # step 0 collapses to a power
-    assert float(rising_factorial_step(2.0, 3, 0.0)) == pytest.approx(8.0, rel=1e-14)
-    assert rising_factorial_step(4.0, 0, 0.3) == ONE
-    # negative step crossing zero
-    assert rising_factorial_step(1.0, 3, -0.5) == ZERO  # 1 * 0.5 * 0
-
-
 def test_log_rising():
     assert log_rising(2.5, 0) == 0.0
     assert log_rising(2.0, 3) == pytest.approx(math.log(24.0), rel=1e-15)
-    got = log_rising(0.5, 4)
-    assert got == pytest.approx(rising_factorial(0.5, 4).logmag, rel=1e-14)
+    assert log_rising(0.5, 4) == pytest.approx(math.log(0.5 * 1.5 * 2.5 * 3.5), rel=1e-14)
     with pytest.raises(ValueError):
         log_rising(-1.0, 2)
     with pytest.raises(ValueError):
