@@ -24,8 +24,8 @@ def main():
     print()
     print("predictive rule for a sample with multiplicities (3, 2, 1):")
     comp = (3, 2, 1)
-    for j, size in enumerate(comp, start=1):
-        print(f"  seen-{size}-times species next: {model.predictive_mean(comp, j):.4f}")
+    for size in comp:
+        print(f"  seen-{size}-times species next: {model.exact_good_turing_closed(size, sum(comp)):.4f}")
     print(f"  new species next:          {model.predict_new(6, 3):.4f}")
 
     print()

@@ -10,9 +10,10 @@ seen exactly l times?  This package computes that probability three ways:
   the estimator reduces to weighted generalized Stirling sums and, for
   Pitman-Yor models, to the closed form (l - alpha) / (theta + n).
 
-Everything is cross-checked: brute-force partition enumeration at small n
-(:mod:`goodturing.oracle`), seeded simulation (:mod:`goodturing.sampler`),
-and the identity suites behind ``goodturing verify``.
+Everything is cross-checked: integer-partition enumeration in exact
+rationals, n <= 40 (:mod:`goodturing.oracle`), seeded simulation
+(:mod:`goodturing.sampler`), and the identity suites behind
+``goodturing verify``.
 
 Importing the package loads no submodule: each public name is imported
 from its submodule on first use (PEP 562), so code that needs only the

@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the identity-check suites")
     p.add_argument("--level", choices=LEVELS, default="fast",
-                   help="fast: enumeration to n=8; full: n=12 plus Monte Carlo")
+                   help="fast: exact enumeration to n=8; full: n=30 plus Monte Carlo")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -298,6 +298,8 @@ class TabularGibbsModel(GibbsModel):
         self._check_support(table)
         with np.errstate(divide="ignore"):
             self._log_rows = [np.where(r > 0, np.log(np.where(r > 0, r, 1.0)), -np.inf) for r in table]
+        for row in self._log_rows:
+            row.flags.writeable = False  # log_weight_row hands out views of these
         self._validate(table)
 
     @staticmethod

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .gibbs import Composition, GibbsModel
+from .gibbs import GibbsModel
 from .specfun import check_discount, log_rising
 
 __all__ = ["PitmanYor", "johnson_estimate", "jeffreys_estimate"]
@@ -103,18 +103,6 @@ class PitmanYor(GibbsModel):
         """(l - alpha) / (theta + n); agrees with the Stirling-sum route."""
         self._check_range_l(l, n)
         return (l - self.alpha) / (self.theta + n)
-
-    def predictive_mean(self, comp: Composition, j: int) -> float:
-        """Posterior mean frequency of the j-th observed species (1-based).
-
-        Depends on the composition only through n_j and n, and equals
-        ``exact_good_turing_closed(n_j, n)``.
-        """
-        if not isinstance(comp, Composition):
-            comp = Composition(tuple(comp))
-        if not 1 <= j <= comp.k:
-            raise ValueError(f"species index {j} outside 1..{comp.k}")
-        return self.exact_good_turing_closed(comp.parts[j - 1], comp.n)
 
     # -- structural (first size-biased pick) law, alpha in [0, 1) --------
 

@@ -61,7 +61,7 @@ def test_criterion_1_closed_form_matches_stirling_sums(capsys):
 
 
 def test_criterion_2_enumeration_oracle_agreement(capsys):
-    # brute-force set-partition sums against every module formula, n <= 8
+    # exact integer-partition sums against every module formula, n <= 8
     t0 = time.perf_counter()
     worst = 0.0
 

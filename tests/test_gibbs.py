@@ -96,10 +96,13 @@ def test_predict_new_matches_closed_form(pd_half):
 
 def test_predict_old_matches_closed_form(pd_half):
     # (n_j - alpha)/(theta + n) through the weights
-    for counts in ([1], [3, 1], [2, 2, 1]):
+    cases = [(pd_half, [1]), (pd_half, [3, 1]), (pd_half, [2, 2, 1]), (PitmanYor(0.3, 2.0), [4, 2, 1])]
+    for model, counts in cases:
         n, k = sum(counts), len(counts)
         for n_j in counts:
-            assert pd_half.predict_old(n, k, n_j) == pytest.approx((n_j - 0.5) / (0.5 + n), rel=1e-12)
+            assert model.predict_old(n, k, n_j) == pytest.approx(
+                (n_j - model.alpha) / (model.theta + n), rel=1e-12
+            )
 
 
 def test_predict_new_vanishes_at_saturated_support():
@@ -272,6 +275,16 @@ def test_tabular_support_must_be_contiguous():
     rows = [[1.0], [0.6, 0.1], [0.2, 0.0, 0.1]]
     with pytest.raises(ValueError, match="support"):
         TabularGibbsModel(0.5, rows)
+
+
+def test_tabular_rows_are_read_only():
+    m = TabularGibbsModel.from_bottom_row(0.5, np.ones(8))
+    before = m.exact_good_turing(1, 4)
+    row = m.log_weight_row(4, 4)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        row[:] = 0.0
+    assert m.exact_good_turing(1, 4) == before
 
 
 def test_tabular_degenerate_single_species():

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
-from goodturing.gibbs import Composition
 from goodturing.pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
 
 
@@ -129,27 +128,6 @@ def test_closed_matches_stirling_route():
                 assert m.exact_good_turing(l, n) == pytest.approx(
                     m.exact_good_turing_closed(l, n), rel=1e-11
                 )
-
-
-def test_predictive_mean():
-    m = PitmanYor(0.5, 0.5)
-    comp = Composition((2, 1))
-    assert m.predictive_mean(comp, 1) == pytest.approx(3 / 7, rel=1e-15)
-    assert m.predictive_mean(comp, 2) == pytest.approx(1 / 7, rel=1e-15)
-    assert m.predictive_mean([2, 1], 1) == m.predictive_mean(comp, 1)
-    with pytest.raises(ValueError):
-        m.predictive_mean(comp, 3)
-    with pytest.raises(ValueError):
-        m.predictive_mean(comp, 0)
-
-
-def test_predictive_mean_equals_predict_old():
-    m = PitmanYor(0.3, 2.0)
-    comp = Composition((4, 2, 1))
-    for j, n_j in enumerate(comp.parts, start=1):
-        assert m.predictive_mean(comp, j) == pytest.approx(
-            m.predict_old(comp.n, comp.k, n_j), rel=1e-12
-        )
 
 
 def test_johnson_jeffreys_pinned():

@@ -7,7 +7,7 @@ import pytest
 
 from goodturing.empirical import FinitePopulation
 from goodturing.gibbs import TabularGibbsModel
-from goodturing.oracle import oracle_expected_cl, oracle_stirling
+from goodturing.oracle import oracle_moment_table, oracle_stirling
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
@@ -336,7 +336,7 @@ LAW_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(LAW_MODELS))
 def test_urn_samples_the_exact_law(name):
-    """The law of K_n and the means of C_l against set-partition enumeration.
+    """The law of K_n and the means of C_l against the exact oracle.
 
     Every P(K_n = k) and every E[C_l] within 4 standard errors; a zero
     standard error with any difference fails.
@@ -348,7 +348,7 @@ def test_urn_samples_the_exact_law(name):
     k_se = np.sqrt(k_freq * (1.0 - k_freq) / (reps - 1))
     means = stats[:, 1:].mean(axis=0)
     c_se = stats[:, 1:].std(axis=0, ddof=1) / math.sqrt(reps)
-    exact_c = [oracle_expected_cl(model, l, n) for l in range(1, n + 1)]
+    exact_c = oracle_moment_table(model, n)["expected_cl"][1:]
     for label, got, se, want in zip(
         [f"P(K={k})" for k in range(1, n + 1)] + [f"E[C_{l}]" for l in range(1, n + 1)],
         np.concatenate([k_freq, means]),
