@@ -121,6 +121,18 @@ def test_closed_form_pinned():
         m.exact_good_turing_closed(0, 2)
 
 
+def test_predictive_mean_equals_predict_old():
+    # the posterior mean frequency of an observed species is the urn's
+    # probability that the next draw extends it
+    m = PitmanYor(0.3, 2.0)
+    counts = (4, 2, 1)
+    n, k = sum(counts), len(counts)
+    for n_j in counts:
+        assert m.exact_good_turing_closed(n_j, n) == pytest.approx(
+            m.predict_old(n, k, n_j), rel=1e-12
+        )
+
+
 def test_closed_matches_stirling_route():
     for m in (PitmanYor(0.25, 1.0), PitmanYor(0.9, -0.4), PitmanYor(0.0, 0.5)):
         for n in (1, 2, 5, 12):
