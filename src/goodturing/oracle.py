@@ -77,17 +77,19 @@ def _block_terms(alpha: float, n: int):
     return b**n, terms()
 
 
-def oracle_stirling(n: int, k: int, alpha: float) -> float:
-    """Generalized Stirling number as its defining partition sum.
+def oracle_stirling(n: int, alpha: float) -> list[float]:
+    """Generalized Stirling numbers S(n, 0..n) as their defining partition sums.
 
+    One pass over the integer partitions of n fills the whole row.
     Independent of the triangular recurrence in :mod:`goodturing.specfun`,
     which it exists to validate.
     """
     _check_n(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     den, terms = _block_terms(alpha, n)
-    return float(Fraction(sum(num for _, j, num in terms if j == k), den))
+    sums = [0] * (n + 1)
+    for _, k, num in terms:
+        sums[k] += num
+    return [float(Fraction(x, den)) for x in sums]
 
 
 def oracle_moment_table(model, n: int, r_max: int = 1) -> dict:

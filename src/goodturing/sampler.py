@@ -19,6 +19,7 @@ at a time.  Reproducibility is by construction:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,23 +77,19 @@ def _summarize(parts: list[int]) -> SampleSummary:
 # -- Gibbs urn -----------------------------------------------------------
 
 
-def sample_gibbs(model: GibbsModel, n: int, seed: int, use_closed_form: bool | None = None) -> SampleSummary:
+def sample_gibbs(model: GibbsModel, n: int, seed: int) -> SampleSummary:
     """One sequential sample of size n from the model's predictive rules.
 
-    ``use_closed_form`` picks the per-step rule: the Pitman-Yor shortcut
-    (total weight theta + m, new-species weight theta + k alpha) or the
-    generic route through the weights.  None selects the shortcut exactly
-    when the model is Pitman-Yor; both consume one uniform per step and
-    split it the same way, so their draws can be compared seed for seed.
+    A Pitman-Yor model steps by its closed form (total weight theta + m,
+    new-species weight theta + k alpha), any other model by the generic
+    route through the weights.  Both consume one uniform per step and
+    split it the same way, so on the same uniforms they draw the same
+    sample.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     model._check_size(n)
-    if use_closed_form is None:
-        use_closed_form = isinstance(model, PitmanYor)
-    if use_closed_form and not isinstance(model, PitmanYor):
-        raise ValueError("closed-form urn updates are only available for Pitman-Yor models")
-    urn = _urn_pitman_yor if use_closed_form else _urn_generic
+    urn = _urn_pitman_yor if isinstance(model, PitmanYor) else _urn_generic
     labels = urn(model, _stream(seed, 0).random((1, n - 1)))[0]
     return _summarize(np.bincount(labels).tolist())
 
@@ -260,6 +257,13 @@ class MomentTable:
 
     def se(self, label: str) -> float:
         return float(self.ses[self.labels.index(label)])
+
+    def z(self, label: str, exact: float) -> float:
+        """|mean - exact| in standard errors; a zero standard error gives
+        0 when the mean is exact and inf otherwise."""
+        diff = abs(self.mean(label) - exact)
+        se = self.se(label)
+        return diff / se if se > 0 else (0.0 if diff == 0 else math.inf)
 
 
 def monte_carlo_moments(

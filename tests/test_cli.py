@@ -263,9 +263,12 @@ class TestSimulate:
         assert analytic_k == pytest.approx(PitmanYor(0.5, 0.5).expected_species(5), rel=1e-12)
 
     def test_byte_identical_reruns(self, capsys):
-        _, first, _ = run_cli(capsys, *self.ARGS)
-        _, second, _ = run_cli(capsys, *self.ARGS)
-        assert first == second
+        # the second run spans three blocks of URN_BLOCK // 5 replicates
+        many_blocks = ("simulate", "--alpha", "0.5", "--theta", "0.5", "--n", "5", "--reps", "30000", "--seed", "7")
+        for args in (self.ARGS, many_blocks):
+            _, first, _ = run_cli(capsys, *args)
+            _, second, _ = run_cli(capsys, *args)
+            assert first == second and first
 
     def test_population_source(self, capsys):
         code, out, _ = run_cli(

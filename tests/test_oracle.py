@@ -153,7 +153,7 @@ def test_enumeration_bounds():
         with pytest.raises(ValueError):
             oracle_moment_table(m, n)
         with pytest.raises(ValueError):
-            oracle_stirling(n, 1, 0.5)
+            oracle_stirling(n, 0.5)
 
 
 def test_oracle_matches_set_partition_walk():
@@ -163,33 +163,31 @@ def test_oracle_matches_set_partition_walk():
         for n in range(1, 9):
             assert oracle_moment_table(model, n, r_max=3) == walk_moment_table(model, n, 3)
             want = walk_stirling(n, model.alpha)
-            assert [oracle_stirling(n, k, model.alpha) for k in range(n + 1)] == want
+            assert oracle_stirling(n, model.alpha) == want
 
 
 class TestOracleStirling:
     def test_pinned(self):
-        assert oracle_stirling(3, 2, 0.5) == pytest.approx(1.5, rel=1e-14)
-        assert oracle_stirling(4, 2, 0.0) == pytest.approx(11.0, rel=1e-14)
+        assert oracle_stirling(3, 0.5)[2] == pytest.approx(1.5, rel=1e-14)
+        assert oracle_stirling(4, 0.0)[2] == pytest.approx(11.0, rel=1e-14)
         for n in (1, 3, 6):
-            assert oracle_stirling(n, n, 0.37) == pytest.approx(1.0, rel=1e-14)
-            assert oracle_stirling(n, 0, 0.37) == 0.0
+            row = oracle_stirling(n, 0.37)
+            assert len(row) == n + 1
+            assert row[n] == pytest.approx(1.0, rel=1e-14)
+            assert row[0] == 0.0
 
     def test_matches_recurrence_triangle(self):
         for alpha in (-1.0, -0.5, 0.0, 0.25, 0.5, 0.9):
             tri = StirlingRows(alpha)
             for n in range(1, 8):
+                row = oracle_stirling(n, alpha)
                 for k in range(1, n + 1):
-                    assert oracle_stirling(n, k, alpha) == pytest.approx(
-                        math.exp(tri.log_row(n)[k]), rel=1e-12, abs=1e-300
-                    )
+                    assert row[k] == pytest.approx(math.exp(tri.log_row(n)[k]), rel=1e-12, abs=1e-300)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            oracle_stirling(3, 4, 0.5)
-        with pytest.raises(ValueError):
-            oracle_stirling(3, -1, 0.5)
-        with pytest.raises(ValueError):
-            oracle_stirling(MAX_N + 1, 2, 0.5)
+        for n in (0, -1, MAX_N + 1):
+            with pytest.raises(ValueError):
+                oracle_stirling(n, 0.5)
 
 
 @pytest.fixture(params=[(0.5, 0.5, None), (0.0, 1.0, None), (-0.5, None, 2)])

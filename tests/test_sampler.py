@@ -74,28 +74,15 @@ class TestSampleGibbs:
         assert summ.k == 1
 
     def test_closed_and_generic_urns_agree(self, pd_half):
-        for seed in range(100):
-            closed = sample_gibbs(pd_half, 12, seed=seed, use_closed_form=True)
-            generic = sample_gibbs(pd_half, 12, seed=seed, use_closed_form=False)
-            assert closed.composition == generic.composition
+        u = np.random.default_rng(0).random((100, 11))
+        np.testing.assert_array_equal(_urn_pitman_yor(pd_half, u), _urn_generic(pd_half, u))
 
     def test_closed_and_generic_agree_finite_support(self):
         m = PitmanYor(-1.0, s=3)
-        for seed in range(60):
-            closed = sample_gibbs(m, 10, seed=seed, use_closed_form=True)
-            generic = sample_gibbs(m, 10, seed=seed, use_closed_form=False)
-            assert closed.composition == generic.composition
-            assert closed.k <= 3
-
-    def test_closed_form_requires_pitman_yor(self, pop):
-        from goodturing.gibbs import TabularGibbsModel
-
-        tab = TabularGibbsModel.from_bottom_row(0.5, np.ones(6))
-        with pytest.raises(ValueError, match="closed-form"):
-            sample_gibbs(tab, 4, seed=1, use_closed_form=True)
-        # default for a non-Pitman-Yor model is the generic route
-        summ = sample_gibbs(tab, 4, seed=1)
-        assert summ.n == 4
+        u = np.random.default_rng(1).random((60, 9))
+        closed = _urn_pitman_yor(m, u)
+        np.testing.assert_array_equal(closed, _urn_generic(m, u))
+        assert closed.max() == 2  # three species at most, and some row finds all three
 
     def test_validation(self, pd_half):
         with pytest.raises(ValueError):
@@ -207,6 +194,15 @@ class TestMonteCarloMoments:
         assert t.se("C_1") == rows[1][2]
         with pytest.raises(ValueError):
             t.mean("C_99")
+
+    def test_z_score(self):
+        t = MomentTable(
+            n=3, reps=100, seed=0, labels=("K", "C_1"), means=np.array([3.0, 1.5]), ses=np.array([0.0, 0.25])
+        )
+        assert t.z("C_1", 1.0) == 2.0
+        assert t.z("K", 3.0) == 0.0  # no spread and exact
+        assert t.z("K", 3.0 - 1e-5) == math.inf  # no spread but off: fails any gate
+        assert math.isnan(t.z("C_1", math.nan))
 
     def test_first_replicate_matches_sample_gibbs(self, pd_half):
         # row 0 of block 0 is the sample sample_gibbs draws for the same seed,
@@ -344,7 +340,8 @@ def test_urn_samples_the_exact_law(name):
     model, n, reps = LAW_MODELS[name], 6, 200_000
     stats = _replicate_stats(model, n, reps, seed=2024, l_max=n)
     k_freq = np.bincount(stats[:, 0], minlength=n + 1)[1:] / reps
-    exact_k = [oracle_stirling(n, k, model.alpha) * math.exp(model.log_weight(n, k)) for k in range(1, n + 1)]
+    s_row = oracle_stirling(n, model.alpha)
+    exact_k = [s_row[k] * math.exp(model.log_weight(n, k)) for k in range(1, n + 1)]
     k_se = np.sqrt(k_freq * (1.0 - k_freq) / (reps - 1))
     means = stats[:, 1:].mean(axis=0)
     c_se = stats[:, 1:].std(axis=0, ddof=1) / math.sqrt(reps)
