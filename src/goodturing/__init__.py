@@ -45,7 +45,6 @@ _SOURCES = {
     "sample_population": "sampler",
     "monte_carlo_moments": "sampler",
     "log_rising": "specfun",
-    "log_comb": "specfun",
     "StirlingRows": "specfun",
     "CheckResult": "verify",
     "run_checks": "verify",

@@ -58,8 +58,10 @@ class FinitePopulation:
             p = p[p > 0]
             if p.size == 0:
                 raise ValueError("population has no positive frequencies")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"frequencies must sum to 1 (got {p.sum()!r})")
+        with np.errstate(over="ignore"):  # a total that overflows is off too
+            total = p.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"frequencies must sum to 1 (got {total!r})")
         self.probs = p
         self.probs.flags.writeable = False
         self._log_p = np.log(p)

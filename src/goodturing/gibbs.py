@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import StirlingRows, log_comb, log_rising, logsumexp
+from .specfun import StirlingRows, log_rising, logsumexp
 
 __all__ = ["Composition", "GibbsModel", "TabularGibbsModel"]
 
@@ -83,18 +83,15 @@ class GibbsModel:
     """Base class: subclasses supply ``log_weight_row`` (log V(n, k) by rows).
 
     ``max_size`` bounds the sample sizes the weights are available for
-    (None = unbounded); ``max_blocks`` marks weight support that stops at a
-    finite number of species, as with finite symmetric Dirichlet models.
-    ``stirling_rows`` is the model's Stirling-row cache.  Instances are
-    immutable apart from that cache, which builds and serves rows under a
-    lock, so one model can be shared between threads.
+    (None = unbounded).  ``stirling_rows`` is the model's Stirling-row
+    cache.  Instances are immutable apart from that cache, which builds and
+    serves rows under a lock, so one model can be shared between threads.
     """
 
-    def __init__(self, alpha: float, max_size: int | None = None, max_blocks: int | None = None):
+    def __init__(self, alpha: float, max_size: int | None = None):
         self.stirling_rows = StirlingRows(alpha)  # rejects alpha >= 1 and non-finite alpha
         self.alpha = self.stirling_rows.alpha
         self.max_size = max_size
-        self.max_blocks = max_blocks
 
     # -- weights ---------------------------------------------------------
 
@@ -146,43 +143,36 @@ class GibbsModel:
 
         V(n+1, k) * (n_j - alpha) / V(n, k).
         """
-        self._check_size(n)
-        self._check_size(n + 1)
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        lw_n = self._log_weight_before_draw(n, k)
         if not 1 <= n_j <= n:
             raise ValueError(f"need 1 <= n_j <= n, got n_j={n_j}")
-        lw_n = self.log_weight(n, k)
-        if lw_n == _NEG_INF:
-            raise ValueError(f"V({n},{k}) = 0: state outside model support")
         return (n_j - self.alpha) * math.exp(self.log_weight(n + 1, k) - lw_n)
 
     def predict_new(self, n: int, k: int) -> float:
         """P(next observation is a brand-new species): V(n+1, k+1) / V(n, k)."""
+        lw_n = self._log_weight_before_draw(n, k)
+        return math.exp(self.log_weight(n + 1, k + 1) - lw_n)
+
+    def _log_weight_before_draw(self, n: int, k: int) -> float:
+        """log V(n, k) of a state the next draw can leave, or ValueError:
+        n and n + 1 must be supported sizes, 1 <= k <= n and V(n, k) > 0."""
         self._check_size(n)
         self._check_size(n + 1)
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
         lw_n = self.log_weight(n, k)
         if lw_n == _NEG_INF:
             raise ValueError(f"V({n},{k}) = 0: state outside model support")
-        return math.exp(self.log_weight(n + 1, k + 1) - lw_n)
+        return lw_n
 
     # -- moments of the frequency counts ---------------------------------
 
     def expected_count(self, l: int, n: int) -> float:
         """E[C(l, n)]: expected number of species appearing exactly l times.
 
+        The r = 1 falling factorial moment:
         C(n, l) (1-alpha)_(l-1) * sum_k V(n, k) S(n-l, k-1).
         """
         self._check_range_l(l, n)
-        return math.exp(self._log_expected_count(l, n))
-
-    def _log_expected_count(self, l: int, n: int) -> float:
-        m = n - l
-        srow = self.stirling_rows.log_row(m)
-        lw = self.log_weight_row(n, m + 1)
-        return log_comb(n, l) + log_rising(1.0 - self.alpha, l - 1) + logsumexp(lw + srow)
+        return math.exp(self._log_falling_moment(l, n, 1))
 
     def falling_factorial_moment(self, l: int, n: int, r: int) -> float:
         """E[C(l,n) (C(l,n)-1) ... (C(l,n)-r+1)]; zero when l*r > n.
@@ -194,16 +184,17 @@ class GibbsModel:
             raise ValueError(f"moment order must be >= 1, got {r}")
         if l * r > n:
             return 0.0
-        m = n - l * r
-        srow = self.stirling_rows.log_row(m)
-        lw = self.log_weight_row(n, m + r)  # k = 1..m+r
-        coeff = (
-            math.lgamma(n + 1)
-            - r * math.lgamma(l + 1)
-            - math.lgamma(m + 1)
-            + r * log_rising(1.0 - self.alpha, l - 1)
-        )
-        return math.exp(coeff + logsumexp(lw[r - 1 :] + srow))
+        return math.exp(self._log_falling_moment(l, n, r))
+
+    def _log_falling_moment(self, l: int, n: int, r: int) -> float:
+        m = n - l * r  # >= 0: falling_factorial_moment returns 0 for l*r > n
+        coeff = math.lgamma(n + 1) - r * math.lgamma(l + 1) - math.lgamma(m + 1)
+        return coeff + r * log_rising(1.0 - self.alpha, l - 1) + self._log_stirling_sum(n, m, r)
+
+    def _log_stirling_sum(self, n: int, m: int, r: int = 1) -> float:
+        """log sum_{k=r..m+r} V(n, k) S(m, k-r), m + r <= n: the one place a
+        weight row meets a Stirling row in the scalar methods."""
+        return logsumexp(self.log_weight_row(n, m + r)[r - 1 :] + self.stirling_rows.log_row(m))
 
     def expected_species(self, n: int) -> float:
         """E[K_n] = sum_k k V(n, k) S(n, k), from Stirling row n alone."""
@@ -228,16 +219,13 @@ class GibbsModel:
         """
         self._check_range_l(l, n)
         self._check_size(n + 1)
-        m = n - l
-        srow = self.stirling_rows.log_row(m)
-        den = logsumexp(self.log_weight_row(n, m + 1) + srow)
+        den = self._log_stirling_sum(n, n - l)
         if den == _NEG_INF:
             raise ValueError(
                 f"a species seen {l} times in {n} draws has probability zero "
                 "under this model; the estimator conditions on an impossible event"
             )
-        num = logsumexp(self.log_weight_row(n + 1, m + 1) + srow)
-        return (l - self.alpha) * math.exp(num - den)
+        return (l - self.alpha) * math.exp(self._log_stirling_sum(n + 1, n - l) - den)
 
     def exact_good_turing_row(self, n: int) -> np.ndarray:
         """All discovery probabilities at size n at once: entry l-1 holds l.

@@ -57,13 +57,14 @@ class PitmanYor(GibbsModel):
                 raise ValueError(f"s must be a positive integer, got {s}")
             s = int(s)
             inferred = abs(alpha) * s
+            if not math.isfinite(inferred):
+                raise ValueError(f"|alpha|*s must be finite, got alpha={alpha}, s={s}")
             if theta is None:
                 theta = inferred
             elif abs(theta - inferred) > 1e-9 * max(1.0, abs(inferred)):
                 raise ValueError(
                     f"theta={theta} inconsistent with |alpha|*s={inferred} for alpha={alpha}, s={s}"
                 )
-            super().__init__(alpha, max_blocks=s)
         else:
             if s is not None:
                 raise ValueError("s only applies to alpha < 0")
@@ -71,7 +72,7 @@ class PitmanYor(GibbsModel):
                 raise ValueError("theta is required for alpha >= 0")
             if theta + alpha <= _THETA_GUARD:
                 raise ValueError(f"need theta > -alpha, got theta={theta}, alpha={alpha}")
-            super().__init__(alpha)
+        super().__init__(alpha)
         self.theta = float(theta)
         self.s = s
 
@@ -89,8 +90,8 @@ class PitmanYor(GibbsModel):
         when the species count s is finite.
         """
         self._check_row(n, kmax)
-        factors = self.theta + self.alpha * np.arange(1, kmax, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # alpha * k may overflow only where k > s
+            factors = self.theta + self.alpha * np.arange(1, kmax, dtype=float)
             logs = np.where(factors > 0, np.log(np.where(factors > 0, factors, 1.0)), -np.inf)
         row = np.concatenate(([0.0], np.cumsum(logs)))
         if self.s is not None:
@@ -105,15 +106,6 @@ class PitmanYor(GibbsModel):
         return (l - self.alpha) / (self.theta + n)
 
     # -- structural (first size-biased pick) law, alpha in [0, 1) --------
-
-    def structural_density(self, x: float) -> float:
-        """beta(1 - alpha, theta + alpha) density of the first size-biased frequency."""
-        self._require_beta_regime()
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"x must lie in (0, 1), got {x}")
-        a, b = 1.0 - self.alpha, self.theta + self.alpha
-        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta)
 
     def expected_species_structural(self, n: int) -> float:
         """E[K_n] through the structural law: sum_{j<n} E[(1-P)^j].
@@ -144,10 +136,12 @@ def johnson_estimate(abs_alpha: float, s: int, l: int, n: int) -> float:
     superpopulation with concentration |alpha| on s species, i.e.
     PD(-|alpha|, |alpha| s).
     """
-    if abs_alpha <= 0:
-        raise ValueError(f"abs_alpha must be > 0, got {abs_alpha}")
+    if not 0 < abs_alpha < math.inf:
+        raise ValueError(f"abs_alpha must be finite and > 0, got {abs_alpha}")
     if s != int(s) or s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
+    if not math.isfinite(abs_alpha * s):
+        raise ValueError(f"|alpha|*s must be finite, got abs_alpha={abs_alpha}, s={s}")
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     return (l + abs_alpha) / (abs_alpha * s + n)

@@ -47,6 +47,8 @@ URN_BLOCK = 1 << 16
 #: elements (rows x max(n, s)) per population block; a draw makes several
 #: temporaries of the block's size, so these blocks are smaller
 POPULATION_BLOCK = 1 << 14
+#: flag threshold for a table statistic's z (:meth:`MomentTable.z`) against its analytic value
+SE_GATE = 4.0
 
 
 def _stream(seed: int, block: int) -> np.random.Generator:
@@ -259,11 +261,14 @@ class MomentTable:
         return float(self.ses[self.labels.index(label)])
 
     def z(self, label: str, exact: float) -> float:
-        """|mean - exact| in standard errors; a zero standard error gives
-        0 when the mean is exact and inf otherwise."""
+        """|mean - exact| in standard errors.  With a zero standard error every
+        replicate showed one integer, and an integer law with mean ``exact`` a
+        distance d < 1 from it has variance >= d(1 - d): z = sqrt(reps d / (1 - d))."""
         diff = abs(self.mean(label) - exact)
         se = self.se(label)
-        return diff / se if se > 0 else (0.0 if diff == 0 else math.inf)
+        if se > 0:
+            return diff / se
+        return math.inf if diff >= 1 else math.sqrt(self.reps * diff / (1.0 - diff))
 
 
 def monte_carlo_moments(

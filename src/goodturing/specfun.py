@@ -1,9 +1,8 @@
-"""Special functions in log space: log rising factorials, log binomials,
-log-sum-exp and the generalized Stirling triangle.
+"""Special functions in log space: log rising factorials, log-sum-exp and
+the generalized Stirling triangle.
 
-The rising factorials, binomials and Stirling entries are all
-nonnegative, so each is carried as a plain float64 log, with -inf standing
-for zero.
+The rising factorials and Stirling entries are all nonnegative, so each
+is carried as a plain float64 log, with -inf standing for zero.
 
 The triangle computed here is the one indexed by a discount parameter
 ``a < 1``: entry (n, k) is the sum, over set partitions of {1..n} into k
@@ -33,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "log_rising",
-    "log_comb",
     "logsumexp",
     "check_discount",
     "DENSE_ROWS",
@@ -154,10 +152,13 @@ def _next_row(row: np.ndarray, n: int, alpha: float) -> np.ndarray:
         # k = 1..n: log(S(n, k-1) + (n - k*alpha) S(n, k)), with n - k*alpha > 0
         # for alpha < 1.  The log-add is max + log1p(exp(-|a - b|)), written out
         # because np.logaddexp is several times slower on long rows.
+        scale = 1.0 if n * alpha > -1e300 else -alpha  # k |alpha| may overflow: divide it out
         b = np.arange(1, n + 1, dtype=float)
-        b *= -alpha
-        b += n
+        b *= -alpha / scale
+        b += n / scale
         np.log(b, out=b)
+        if scale != 1.0:
+            b += math.log(scale)
         b += row[1:]
         a = row[:n]
         d = np.abs(a - b)
@@ -182,10 +183,3 @@ def iter_stirling_log_rows(n_max: int, alpha: float) -> Iterator[np.ndarray]:
     for n in range(n_max):
         row = _next_row(row, n, alpha)
         yield row
-
-
-def log_comb(n: int, k: int) -> float:
-    """log of the binomial coefficient via lgamma; -inf outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return float("-inf")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)

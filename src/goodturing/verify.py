@@ -21,7 +21,7 @@ from .empirical import FinitePopulation, smoothed_count, smoothed_discovery
 from .gibbs import GibbsModel, TabularGibbsModel
 from .oracle import oracle_moment_table, oracle_stirling
 from .pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
-from .sampler import monte_carlo_moments
+from .sampler import SE_GATE, monte_carlo_moments
 from .specfun import StirlingRows, iter_stirling_log_rows, log_rising
 
 __all__ = ["CheckResult", "run_checks", "LEVELS"]
@@ -281,8 +281,8 @@ def check_monte_carlo() -> CheckResult:
             table = monte_carlo_moments(source, n, reps, seed=_SEED, l_max=l_top)
             exact = [source.expected_species(n)] + [source.expected_count(l, n) for l in range(1, l_top + 1)]
             worst_z = _worse(worst_z, *(table.z(label, x) for label, x in zip(table.labels, exact)))
-    detail = f"worst |z| {worst_z:.2f} (gate 4.0, reps {reps}, n in {{10, 50}})"
-    return CheckResult("monte-carlo", worst_z <= 4.0, detail)
+    detail = f"worst |z| {worst_z:.2f} (gate {SE_GATE}, reps {reps}, n in {{10, 50}})"
+    return CheckResult("monte-carlo", worst_z <= SE_GATE, detail)
 
 
 # -- suite driver --------------------------------------------------------

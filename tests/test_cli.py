@@ -1,8 +1,13 @@
+import contextlib
+import io
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodturing import cli
 from goodturing.cli import main
@@ -206,6 +211,14 @@ class TestBnp:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "--alpha=-1e-1" in help_text and "--theta=-1e-1" in help_text
 
+    @pytest.mark.parametrize("method", ["closed", "stirling"])
+    def test_overflowing_species_bound_exits_2(self, capsys, method):
+        # |alpha| s = inf: the closed form read theta inf and the Stirling route nan
+        code, out, err = run_cli(
+            capsys, "bnp", "--alpha=-1e308", "--s", "2", "--l", "1", "--n", "3", "--method", method
+        )
+        assert code == 2 and out == "" and "finite" in err
+
     def test_alpha_required_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bnp", "--theta", "1", "--l", "1", "--n", "2"])
@@ -330,6 +343,29 @@ class TestSimulate:
         assert code == 1
 
 
+    def test_exact_sampler_without_spread_passes(self, capsys):
+        # every replicate shows all three species (probability 0.24), so K has se 0
+        # while its mean sits 1.4e-5 above E[K_50]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--pop", "0.5,0.3,0.2", "--n", "50", "--reps", "100000", "--seed", "3", "--check"
+        )
+        assert code == 0
+        k_row = report_dict(out)["K"]
+        assert k_row[1] == "0" and float(k_row[3]) == pytest.approx(1.2, abs=0.01) and k_row[4] == "ok"
+
+    def test_nan_z_is_flagged(self, capsys, monkeypatch):
+        def fake_table(source, n, reps, seed, l_max=None):
+            return MomentTable(
+                n=n, reps=reps, seed=seed, labels=("K", "C_1"),
+                means=np.array([math.nan, 1.0]), ses=np.array([0.1, 0.1]),
+            )
+
+        monkeypatch.setattr(cli, "monte_carlo_moments", fake_table)
+        common = ("--pop", "0.5,0.5", "--n", "2", "--reps", "200", "--seed", "1", "--l", "1")
+        code, out, _ = run_cli(capsys, "simulate", *common, "--check")
+        assert code == 1 and report_dict(out)["K"][4] == "off"
+
+
 class TestVerify:
     def test_all_pass(self, capsys, monkeypatch):
         fake = [CheckResult("a", True, "ok"), CheckResult("b", True, "ok")]
@@ -368,6 +404,69 @@ class TestFormatting:
         )
         got = float(report_dict(out)["estimate"])
         assert got == PitmanYor(0.3, 2.7).exact_good_turing_closed(4, 11)
+
+
+# -- fuzz: bnp and simulate flags, in process ------------------------------
+
+EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, -1e306, 5e-324, 0.0, 1.0, -1.0])
+FLOATS = EXTREMES | st.floats()
+
+
+def _flag(name, value):
+    return [] if value is None else [f"--{name}={value!r}"]
+
+
+@st.composite
+def _model(draw, alpha_optional=False):
+    kind = draw(st.sampled_from(["pitman-yor", "dirichlet", "any"]))
+    if kind == "pitman-yor":
+        return _flag("alpha", draw(EXTREMES | st.floats(0.0, 1.0))) + _flag("theta", draw(EXTREMES | st.floats(-1.0, 50.0)))
+    if kind == "dirichlet":  # theta = |alpha| s
+        return _flag("alpha", draw(EXTREMES | st.floats(-10.0, 0.0) | st.floats(max_value=0.0))) + _flag(
+            "s", draw(st.integers(1, 50) | st.integers(-1, 10**6))
+        )
+    alpha = draw(st.none() | FLOATS if alpha_optional else FLOATS)
+    return _flag("alpha", alpha) + _flag("theta", draw(st.none() | FLOATS)) + _flag("s", draw(st.none() | st.integers(-1, 10**6)))
+
+
+@st.composite
+def _sizes(draw, n_top):
+    n = draw(st.integers(1, n_top) | st.integers(-1, 0))
+    return _flag("l", draw(st.integers(1, max(n, 1)) | st.integers(-1, max(n, 1) + 1))) + _flag("n", n)
+
+
+@st.composite
+def bnp_argv(draw):
+    method = draw(st.sampled_from(["closed", "stirling", None]))
+    check = draw(st.booleans())
+    n_top = 500 if method == "stirling" or check else 10**12  # the Stirling route builds n rows
+    argv = ["bnp", *draw(_model()), *draw(_sizes(n_top))]
+    return argv + ["--method", method] * (method is not None) + ["--check"] * check
+
+
+@st.composite
+def simulate_argv(draw):
+    if draw(st.booleans()):
+        pop = draw(st.lists(FLOATS | st.floats(0.0, 1.0), min_size=1, max_size=4))
+        argv = ["simulate", "--pop=" + ",".join(map(repr, pop))]
+    else:
+        argv = ["simulate", *draw(_model(alpha_optional=True))]
+    argv += draw(_sizes(200)) + _flag("reps", draw(st.integers(99, 500)))
+    argv += _flag("seed", draw(st.integers(-1, 2**64)))
+    return argv + ["--check"] * draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("ignore:dropping zero-probability species:UserWarning")  # --pop=0.5,0
+@given(argv=bnp_argv() | simulate_argv())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzz_bnp_and_simulate_flags(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)  # an exception escaping main, a numpy warning included, fails the test
+    assert code in (0, 1, 2, 3)
+    if argv[0] == "bnp" and code == 0:
+        cells = out.getvalue().replace("\n", "\t").split("\t")
+        assert not {"nan", "inf", "-inf"} & set(cells), out.getvalue()
 
 
 def test_no_subcommand_prints_usage(capsys):

@@ -71,12 +71,22 @@ def test_predictive_pinned_values(pd_half):
 
 
 def test_predictive_validation(pd_half):
-    with pytest.raises(ValueError):
-        pd_half.predict_old(3, 4, 1)  # k > n
-    with pytest.raises(ValueError):
-        pd_half.predict_old(3, 2, 5)  # n_j > n
-    with pytest.raises(ValueError):
-        pd_half.predict_new(0, 1)
+    tab = TabularGibbsModel.from_bottom_row(0.5, np.ones(4))
+    cases = [
+        (lambda: pd_half.predict_old(0, 1, 1), "n must be >= 1, got 0"),
+        (lambda: pd_half.predict_new(0, 1), "n must be >= 1, got 0"),
+        (lambda: tab.predict_old(4, 2, 1), "n=5 beyond supported sample size 4"),
+        (lambda: tab.predict_new(4, 2), "n=5 beyond supported sample size 4"),
+        (lambda: pd_half.predict_old(3, 4, 1), "need 1 <= k <= n, got k=4, n=3"),
+        (lambda: pd_half.predict_new(3, 0), "need 1 <= k <= n, got k=0, n=3"),
+        (lambda: pd_half.predict_old(3, 2, 5), "need 1 <= n_j <= n, got n_j=5"),
+        (lambda: pd_half.predict_old(3, 2, 0), "need 1 <= n_j <= n, got n_j=0"),
+        (lambda: PitmanYor(-0.5, s=2).predict_new(3, 3), r"V\(3,3\) = 0: state outside model support"),
+        (lambda: PitmanYor(-0.5, s=2).predict_old(3, 3, 1), r"V\(3,3\) = 0: state outside model support"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_predict_sums_to_one(pd_half):

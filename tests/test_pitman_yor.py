@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import beta as beta_dist
 
 from goodturing.pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
 
@@ -159,26 +157,29 @@ def test_johnson_validation():
         johnson_estimate(0.5, 3, 0, 2)
     with pytest.raises(ValueError):
         johnson_estimate(0.5, 3, 3, 2)
+    for abs_alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            johnson_estimate(abs_alpha, 3, 1, 2)
+    with pytest.raises(ValueError, match="finite"):
+        johnson_estimate(1e308, 2, 1, 3)  # |alpha| s overflows
 
 
-def test_structural_density_is_beta():
-    m = PitmanYor(0.5, 0.5)  # beta(0.5, 1.0)
-    for x in (0.1, 0.4, 0.9):
-        assert m.structural_density(x) == pytest.approx(
-            beta_dist.pdf(x, 0.5, 1.0), rel=1e-12
-        )
-    total, _ = quad(m.structural_density, 0.0, 1.0)
-    assert total == pytest.approx(1.0, rel=1e-8)
+def test_overflowing_species_bound_rejected():
+    # |alpha| s = inf would pass the theta consistency test, inf > inf being false
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(-1e308, theta=1.4e-54, s=4473)
+    with pytest.raises(ValueError, match="finite"):
+        PitmanYor(-1e308, s=2)
 
 
-def test_structural_density_validation():
-    m = PitmanYor(0.5, 0.5)
-    with pytest.raises(ValueError):
-        m.structural_density(0.0)
-    with pytest.raises(ValueError):
-        m.structural_density(1.0)
-    with pytest.raises(ValueError):
-        PitmanYor(-0.5, s=3).structural_density(0.5)
+def test_huge_discount_stays_finite():
+    # |alpha| s is finite, but n |alpha| overflows inside the Stirling factors n - k alpha
+    m = PitmanYor(-1e306, s=2)
+    for l, n in ((1, 3), (1, 500), (250, 500)):
+        assert m.exact_good_turing(l, n) == pytest.approx(m.exact_good_turing_closed(l, n), rel=1e-9)
+    assert m.expected_species(500) == pytest.approx(2.0, rel=1e-8)  # as at alpha = -1e100
+    with pytest.raises(ValueError, match="probability zero"):
+        PitmanYor(-1e308, s=1).exact_good_turing(1, 5)  # one species is always seen n times
 
 
 def test_structural_species_dirichlet_process_harmonic():

@@ -201,8 +201,11 @@ class TestMonteCarloMoments:
         )
         assert t.z("C_1", 1.0) == 2.0
         assert t.z("K", 3.0) == 0.0  # no spread and exact
-        assert t.z("K", 3.0 - 1e-5) == math.inf  # no spread but off: fails any gate
-        assert math.isnan(t.z("C_1", math.nan))
+        # no spread: an integer statistic with mean d < 1 off its value has variance >= d(1 - d)
+        assert t.z("K", 3.0 - 1e-5) == pytest.approx(math.sqrt(100 * 1e-5 / (1 - 1e-5)), rel=1e-12)
+        assert t.z("K", 2.5) == 10.0
+        assert t.z("K", 2.0) == t.z("K", 7.5) == math.inf
+        assert math.isnan(t.z("C_1", math.nan)) and math.isnan(t.z("K", math.nan))
 
     def test_first_replicate_matches_sample_gibbs(self, pd_half):
         # row 0 of block 0 is the sample sample_gibbs draws for the same seed,

@@ -10,7 +10,6 @@ from goodturing.specfun import (
     DENSE_ROWS,
     StirlingRows,
     iter_stirling_log_rows,
-    log_comb,
     log_rising,
     logsumexp,
 )
@@ -129,16 +128,6 @@ def test_large_row_stays_finite():
     row = StirlingRows(0.5).log_row(400)
     assert np.all(np.isfinite(row[1:]))
     assert row.shape == (401,)
-
-
-def test_log_comb():
-    for n in range(0, 12):
-        for k in range(0, n + 1):
-            assert log_comb(n, k) == pytest.approx(
-                math.log(math.comb(n, k)), rel=1e-13, abs=1e-13
-            )
-    assert log_comb(5, 6) == -math.inf
-    assert log_comb(5, -1) == -math.inf
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 0.9])
