@@ -1,14 +1,15 @@
 """Model-based discovery probabilities under the two-parameter family.
 
 For PD(alpha, theta) the exact discovery probability collapses to
-(l - alpha)/(theta + n).  The same number can be reached the long way,
-through weighted sums of generalized Stirling numbers, which is how a
-general Gibbs-type model has to do it; this demo computes both and prints
-the agreement.  Negative alpha gives the classical finite-population
-rules: Johnson's estimate, and Jeffreys' for alpha = -1.
+(l - alpha)/(theta + n), which is what ``PitmanYor`` answers.  The same
+number can be reached the long way, through weighted sums of generalized
+Stirling numbers, which is how a general Gibbs-type model has to do it
+(``GibbsModel.exact_good_turing(model, l, n)``); this demo computes both
+and prints the agreement.  Negative alpha gives the classical
+finite-population rules: Johnson's estimate, and Jeffreys' for alpha = -1.
 """
 
-from goodturing import PitmanYor, jeffreys_estimate, johnson_estimate
+from goodturing import GibbsModel, PitmanYor, jeffreys_estimate, johnson_estimate
 
 
 def main():
@@ -18,7 +19,7 @@ def main():
     print("   l   closed form      Stirling route    |difference|")
     for l in (1, 2, 3, 5, 10, 20):
         closed = model.exact_good_turing_closed(l, n)
-        long_way = model.exact_good_turing(l, n)
+        long_way = GibbsModel.exact_good_turing(model, l, n)
         print(f"  {l:2d}   {closed:.12f}   {long_way:.12f}   {abs(closed - long_way):.1e}")
 
     print()

@@ -37,8 +37,8 @@ _SOURCES = {
     "GibbsModel": "gibbs",
     "TabularGibbsModel": "gibbs",
     "PitmanYor": "pitman_yor",
-    "johnson_estimate": "pitman_yor",
-    "jeffreys_estimate": "pitman_yor",
+    "johnson_estimate": "closed",
+    "jeffreys_estimate": "closed",
     "SampleSummary": "sampler",
     "MomentTable": "sampler",
     "sample_gibbs": "sampler",

@@ -167,31 +167,39 @@ def cmd_gt(args) -> int:
     return EXIT_OK
 
 
-def _build_model(args):
-    from .pitman_yor import PitmanYor
+def _model_parameters(args):
+    from .closed import check_parameters
 
     if args.alpha is None:
         raise InputError("a Pitman-Yor model needs --alpha (plus --theta, or --s when alpha < 0)")
-    return PitmanYor(args.alpha, theta=args.theta, s=args.s)
+    return check_parameters(args.alpha, args.theta, args.s)
+
+
+def _build_model(args):
+    from .pitman_yor import PitmanYor
+
+    return PitmanYor(*_model_parameters(args))
 
 
 def cmd_bnp(args) -> int:
-    model = _build_model(args)
+    from .closed import discovery
+
+    alpha, theta, s = _model_parameters(args)
     l, n = args.l, args.n
     if not 1 <= l <= n:
         raise InputError(f"need 1 <= l <= n, got l={l}, n={n}")
     rep = Report()
     rep.add("estimator", "exact-good-turing")
-    rep.add("alpha", model.alpha)
-    rep.add("theta", model.theta)
-    if model.s is not None:
-        rep.add("s", model.s)
+    rep.add("alpha", alpha)
+    rep.add("theta", theta)
+    if s is not None:
+        rep.add("s", s)
     rep.add("l", l)
     rep.add("n", n)
     status = EXIT_OK
     if args.check:
-        closed = model.exact_good_turing_closed(l, n)
-        stirling = model.exact_good_turing(l, n)
+        closed = discovery(alpha, theta, l, n)
+        stirling = _stirling_estimate(args, l, n)
         diff = abs(closed - stirling)
         rep.add("method", "both")
         rep.add("estimate_closed", closed)
@@ -204,12 +212,19 @@ def cmd_bnp(args) -> int:
     else:
         rep.add("method", args.method)
         if args.method == "closed":
-            estimate = model.exact_good_turing_closed(l, n)
+            estimate = discovery(alpha, theta, l, n)
         else:
-            estimate = model.exact_good_turing(l, n)
+            estimate = _stirling_estimate(args, l, n)
         rep.add("estimate", estimate)
     rep.emit(args)
     return status
+
+
+def _stirling_estimate(args, l: int, n: int) -> float:
+    """The generic Gibbs route, weighted Stirling sums, on the Pitman-Yor model."""
+    from .gibbs import GibbsModel
+
+    return GibbsModel.exact_good_turing(_build_model(args), l, n)
 
 
 def cmd_smooth(args) -> int:

@@ -16,7 +16,10 @@ species known only to have appeared l times in a sample of size n.
 All sums over the block count k run through one row of the generalized
 Stirling triangle, served by the model's :class:`~goodturing.specfun.StirlingRows`
 cache, and are evaluated in log space; every term is nonnegative, so no
-cancellation occurs.
+cancellation occurs.  A subclass with closed forms may override the
+public moment and estimator methods (:class:`~goodturing.pitman_yor.PitmanYor`
+does); ``GibbsModel.<method>(model, ...)`` still runs the Stirling sums
+on it, which is how the checks compare the two routes.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ _RECURSION_RTOL = 1e-8
 
 #: Stirling rows per block in exact_good_turing_row
 _ROW_BLOCK = 128
+
+
+def impossible_count(l: int, n: int) -> ValueError:
+    """The error of a discovery probability that conditions on a count of probability zero."""
+    return ValueError(
+        f"a species seen {l} times in {n} draws has probability zero "
+        "under this model; the estimator conditions on an impossible event"
+    )
 
 
 def _row_logsumexp(x: np.ndarray) -> np.ndarray:
@@ -179,9 +190,7 @@ class GibbsModel:
 
         n! [(1-alpha)_(l-1)]^r / ((l!)^r (n-lr)!) * sum_k V(n, k) S(n-lr, k-r).
         """
-        self._check_range_l(l, n)
-        if r < 1:
-            raise ValueError(f"moment order must be >= 1, got {r}")
+        self._check_moment(l, n, r)
         if l * r > n:
             return 0.0
         return math.exp(self._log_falling_moment(l, n, r))
@@ -221,10 +230,7 @@ class GibbsModel:
         self._check_size(n + 1)
         den = self._log_stirling_sum(n, n - l)
         if den == _NEG_INF:
-            raise ValueError(
-                f"a species seen {l} times in {n} draws has probability zero "
-                "under this model; the estimator conditions on an impossible event"
-            )
+            raise impossible_count(l, n)
         return (l - self.alpha) * math.exp(self._log_stirling_sum(n + 1, n - l) - den)
 
     def exact_good_turing_row(self, n: int) -> np.ndarray:
@@ -258,6 +264,11 @@ class GibbsModel:
         self._check_size(n)
         if not 1 <= l <= n:
             raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
+
+    def _check_moment(self, l: int, n: int, r: int):
+        self._check_range_l(l, n)
+        if r < 1:
+            raise ValueError(f"moment order must be >= 1, got {r}")
 
 
 class TabularGibbsModel(GibbsModel):

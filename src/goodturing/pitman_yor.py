@@ -11,7 +11,15 @@ and Yor, 1997).  alpha = 0 is the Dirichlet process.
 That g(k)/h(n) separability is what makes the exact Good-Turing discovery
 probability collapse to the closed form (l - alpha)/(theta + n), the same
 value the one-step predictive rule assigns, so conditioning on one species'
-count or on the whole frequency vector gives identical answers here.  The
+count or on the whole frequency vector gives identical answers here.
+
+:class:`PitmanYor` answers ``exact_good_turing``, ``expected_count``,
+``falling_factorial_moment`` and ``expected_species`` from the closed
+forms of :mod:`goodturing.closed`, in O(1) or O(l r) with no Stirling row.
+The generic Stirling-sum route stays reachable as
+``GibbsModel.<method>(model, ...)``, and ``exact_good_turing_row`` and
+everything built on the weights (``eppf``, ``predict_old``,
+``predict_new``, the urn) read ``log_weight_row`` as for any model.  The
 alpha < 0 family reproduces the classical finite-population rules: Johnson
 (1932)'s (l + |alpha|)/(n + |alpha| s), and for alpha = -1 Jeffreys (1948)'s
 (l + 1)/(n + s).  For alpha in (0, 1) the model coincides with smoothing
@@ -26,17 +34,14 @@ term by term as products of beta-function ratios.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .gibbs import GibbsModel
-from .specfun import check_discount, log_rising
+from . import closed
+from .closed import jeffreys_estimate, johnson_estimate
+from .gibbs import GibbsModel, impossible_count
+from .specfun import log_rising
 
 __all__ = ["PitmanYor", "johnson_estimate", "jeffreys_estimate"]
-
-#: minimum admissible value of theta + alpha (guard band around the open boundary)
-_THETA_GUARD = 1e-12
 
 
 class PitmanYor(GibbsModel):
@@ -47,33 +52,9 @@ class PitmanYor(GibbsModel):
     """
 
     def __init__(self, alpha: float, theta: float | None = None, s: int | None = None):
-        alpha = check_discount(alpha)
-        if theta is not None and not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
-        if alpha < 0.0:
-            if s is None:
-                raise ValueError("alpha < 0 needs the finite species count s")
-            if s != int(s) or s < 1:
-                raise ValueError(f"s must be a positive integer, got {s}")
-            s = int(s)
-            inferred = abs(alpha) * s
-            if not math.isfinite(inferred):
-                raise ValueError(f"|alpha|*s must be finite, got alpha={alpha}, s={s}")
-            if theta is None:
-                theta = inferred
-            elif abs(theta - inferred) > 1e-9 * max(1.0, abs(inferred)):
-                raise ValueError(
-                    f"theta={theta} inconsistent with |alpha|*s={inferred} for alpha={alpha}, s={s}"
-                )
-        else:
-            if s is not None:
-                raise ValueError("s only applies to alpha < 0")
-            if theta is None:
-                raise ValueError("theta is required for alpha >= 0")
-            if theta + alpha <= _THETA_GUARD:
-                raise ValueError(f"need theta > -alpha, got theta={theta}, alpha={alpha}")
+        alpha, theta, s = closed.check_parameters(alpha, theta, s)
         super().__init__(alpha)
-        self.theta = float(theta)
+        self.theta = theta
         self.s = s
 
     def __repr__(self):
@@ -86,24 +67,52 @@ class PitmanYor(GibbsModel):
     def log_weight_row(self, n: int, kmax: int) -> np.ndarray:
         """Whole row at once: a cumulative sum over log(theta + k*alpha).
 
-        Entries are -inf from the first nonpositive factor on, and for k > s
-        when the species count s is finite.
+        Entries are -inf for k > s when the species count s is finite, and
+        from the first nonpositive factor on (theta may sit below |alpha| s
+        by its accepted rounding).
         """
         self._check_row(n, kmax)
-        with np.errstate(divide="ignore", over="ignore"):  # alpha * k may overflow only where k > s
-            factors = self.theta + self.alpha * np.arange(1, kmax, dtype=float)
-            logs = np.where(factors > 0, np.log(np.where(factors > 0, factors, 1.0)), -np.inf)
-        row = np.concatenate(([0.0], np.cumsum(logs)))
-        if self.s is not None:
-            row[self.s :] = -np.inf  # theta may differ from |alpha| s by rounding
+        k_top = kmax if self.s is None else min(kmax, self.s)  # so alpha * k stays finite
+        factors = self.theta + self.alpha * np.arange(1, k_top, dtype=float)
+        if self.alpha < 0.0:
+            logs = np.log(np.where(factors > 0, factors, 1.0))
+            logs[factors <= 0] = -np.inf
+        else:
+            logs = np.log(factors)  # theta + alpha > 0
+        row = np.full(kmax, -np.inf)
+        row[0] = 0.0
+        np.cumsum(logs, out=row[1:k_top])
         return row - log_rising(self.theta + 1.0, n - 1)
 
     # -- closed forms ----------------------------------------------------
 
+    def exact_good_turing(self, l: int, n: int) -> float:
+        """(l - alpha) / (theta + n); ValueError, as on the Stirling route,
+        when a count l < n is impossible (s = 1)."""
+        estimate = self.exact_good_turing_closed(l, n)
+        if self.s == 1 and l < n:
+            raise impossible_count(l, n)
+        return estimate
+
     def exact_good_turing_closed(self, l: int, n: int) -> float:
-        """(l - alpha) / (theta + n); agrees with the Stirling-sum route."""
+        """(l - alpha) / (theta + n), for every 1 <= l <= n."""
         self._check_range_l(l, n)
-        return (l - self.alpha) / (self.theta + n)
+        return closed.discovery(self.alpha, self.theta, l, n)
+
+    def expected_count(self, l: int, n: int) -> float:
+        """E[C(l, n)] in closed form: the r = 1 falling moment."""
+        self._check_range_l(l, n)
+        return closed.falling_factorial_moment(self.alpha, self.theta, self.s, l, n, 1)
+
+    def falling_factorial_moment(self, l: int, n: int, r: int) -> float:
+        """The r-th falling moment of C(l, n) in closed form; zero when l*r > n."""
+        self._check_moment(l, n, r)
+        return closed.falling_factorial_moment(self.alpha, self.theta, self.s, l, n, r)
+
+    def expected_species(self, n: int) -> float:
+        """E[K_n] in closed form (:func:`goodturing.closed.expected_species`)."""
+        self._check_size(n)
+        return closed.expected_species(self.alpha, self.theta, self.s, n)
 
     # -- structural (first size-biased pick) law, alpha in [0, 1) --------
 
@@ -128,25 +137,3 @@ class PitmanYor(GibbsModel):
                 "use the partition-side formulas for alpha < 0"
             )
 
-
-def johnson_estimate(abs_alpha: float, s: int, l: int, n: int) -> float:
-    """Johnson (1932)'s rule (l + |alpha|)/(n + |alpha| s).
-
-    This is the discovery probability under a symmetric Dirichlet
-    superpopulation with concentration |alpha| on s species, i.e.
-    PD(-|alpha|, |alpha| s).
-    """
-    if not 0 < abs_alpha < math.inf:
-        raise ValueError(f"abs_alpha must be finite and > 0, got {abs_alpha}")
-    if s != int(s) or s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    if not math.isfinite(abs_alpha * s):
-        raise ValueError(f"|alpha|*s must be finite, got abs_alpha={abs_alpha}, s={s}")
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    return (l + abs_alpha) / (abs_alpha * s + n)
-
-
-def jeffreys_estimate(s: int, l: int, n: int) -> float:
-    """Jeffreys (1948)'s (l + 1)/(n + s): the uniform-prior case |alpha| = 1."""
-    return johnson_estimate(1.0, s, l, n)

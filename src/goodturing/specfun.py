@@ -18,7 +18,8 @@ first kind.  Entries with 1 <= k <= n are strictly positive for every
 a < 1, so rows are stored as natural logs, with -inf marking structural
 zeros.  :class:`StirlingRows` is the cache every model reads rows from;
 :func:`iter_stirling_log_rows` streams them in order and is the reference
-the cache is tested against.
+the cache is tested against.  Both refuse rows above :data:`MAX_ROW`
+before building any.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ from typing import Iterator
 
 import numpy as np
 
+from .closed import check_discount
+
 __all__ = [
     "log_rising",
     "logsumexp",
     "check_discount",
     "DENSE_ROWS",
     "CHECKPOINT_STRIDE",
+    "MAX_ROW",
     "StirlingRows",
     "iter_stirling_log_rows",
 ]
@@ -44,6 +48,9 @@ __all__ = [
 DENSE_ROWS = 1024
 #: above DENSE_ROWS only every CHECKPOINT_STRIDE-th row is kept, plus the last row built
 CHECKPOINT_STRIDE = 64
+#: the largest row served: building rows 0..m takes O(m^2) time, a few
+#: seconds at MAX_ROW, and about m^2 / (2 CHECKPOINT_STRIDE) floats of memory
+MAX_ROW = 20_000
 
 
 def log_rising(x: float, m: int) -> float:
@@ -53,16 +60,6 @@ def log_rising(x: float, m: int) -> float:
     if x <= 0:
         raise ValueError(f"log_rising needs x > 0, got {x}")
     return float(np.sum(np.log(x + np.arange(m, dtype=float))))
-
-
-def check_discount(alpha: float) -> float:
-    """``alpha`` as a float, or ValueError unless it is finite and < 1."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"discount parameter must be finite, got {alpha}")
-    if alpha >= 1.0:
-        raise ValueError(f"discount parameter must be < 1, got {alpha}")
-    return alpha
 
 
 def logsumexp(x) -> float:
@@ -106,9 +103,7 @@ class StirlingRows:
 
     def log_row(self, m: int) -> np.ndarray:
         """Read-only log-row S(m, 0..m); index k holds log S(m, k)."""
-        m = operator.index(m)
-        if m < 0:
-            raise ValueError(f"row index must be >= 0, got {m}")
+        m = _check_row_index(operator.index(m), "row index")
         with self._lock:
             if m < len(self._dense):
                 return self._dense[m]
@@ -169,17 +164,29 @@ def _next_row(row: np.ndarray, n: int, alpha: float) -> np.ndarray:
     return out
 
 
+def _check_row_index(m: int, what: str) -> int:
+    if m < 0:
+        raise ValueError(f"{what} must be >= 0, got {m}")
+    if m > MAX_ROW:
+        raise ValueError(f"{what} {m} is above the Stirling-row ceiling MAX_ROW = {MAX_ROW}")
+    return m
+
+
 def iter_stirling_log_rows(n_max: int, alpha: float) -> Iterator[np.ndarray]:
     """Yield log-rows 0..n_max one at a time; O(n) memory.
 
     The streaming reference for :class:`StirlingRows`; rows are yielded in
-    order and must not be mutated.
+    order and must not be mutated.  The arguments are checked on the call,
+    before any row is built.
     """
     alpha = check_discount(alpha)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    row = np.zeros(1)
-    yield row
-    for n in range(n_max):
-        row = _next_row(row, n, alpha)
+    _check_row_index(n_max, "n_max")
+
+    def rows():
+        row = np.zeros(1)
         yield row
+        for n in range(n_max):
+            row = _next_row(row, n, alpha)
+            yield row
+
+    return rows()

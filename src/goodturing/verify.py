@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import jeffreys_estimate, johnson_estimate
 from .empirical import FinitePopulation, smoothed_count, smoothed_discovery
 from .gibbs import GibbsModel, TabularGibbsModel
 from .oracle import oracle_moment_table, oracle_stirling
-from .pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
+from .pitman_yor import PitmanYor
 from .sampler import SE_GATE, monte_carlo_moments
 from .specfun import StirlingRows, iter_stirling_log_rows, log_rising
 
@@ -90,7 +91,7 @@ def check_closed_vs_stirling(full: bool = True) -> CheckResult:
     worst = 0.0
     for model in _closed_grid():
         for n in range(1, n_max + 1):
-            row = model.exact_good_turing_row(n)
+            row = GibbsModel.exact_good_turing_row(model, n)
             closed = (np.arange(1, n + 1) - model.alpha) / (model.theta + n)
             worst = _worse(worst, np.abs(row - closed) / closed)
     return _tol_result("closed-vs-stirling", worst, 1e-9, f"rel err, n <= {n_max}")
@@ -145,27 +146,34 @@ def check_stirling_enumeration(full: bool = True) -> CheckResult:
     return _tol_result("stirling-enumeration", worst, 1e-10, f"rel err, n <= {n_max}")
 
 
+def _routes(model: GibbsModel) -> list[type]:
+    """The classes whose formulas a check runs on ``model``: its own, and for
+    Pitman-Yor also the Stirling-sum route its closed forms stand in for."""
+    return [type(model), GibbsModel] if isinstance(model, PitmanYor) else [type(model)]
+
+
 def _compare_tables(model: GibbsModel, tables: dict, r_max: int) -> float:
-    """Worst relative error between enumerated and analytic moments."""
-    worst = 0.0
+    """Worst relative error between enumerated and analytic moments, on every route."""
     sizes = sorted(tables)
-    for n in sizes:
-        t = tables[n]
-        worst = _worse(worst, abs(t["eppf_total"] - 1.0))
-        worst = _worse(worst, _rel_err(t["expected_k"], model.expected_species(n)))
-        for l in range(1, n + 1):
-            worst = _worse(worst, _rel_err(t["expected_cl"][l], model.expected_count(l, n)))
-            for r in range(2, r_max + 1):
-                worst = _worse(worst, _rel_err(t["falling"][r][l], model.falling_factorial_moment(l, n, r)))
-    for n in sizes:
-        if n + 1 not in tables:
-            continue
-        den, num = tables[n]["expected_cl"], tables[n + 1]["expected_cl"]
-        for l in range(1, n + 1):
-            if den[l] <= 0.0:
-                continue  # conditioning on an impossible count; both routes refuse
-            ratio = (l + 1) / (n + 1) * num[l + 1] / den[l]
-            worst = _worse(worst, _rel_err(ratio, model.exact_good_turing(l, n)))
+    worst = _worse(0.0, *(abs(tables[n]["eppf_total"] - 1.0) for n in sizes))
+    for route in _routes(model):
+        for n in sizes:
+            t = tables[n]
+            worst = _worse(worst, _rel_err(t["expected_k"], route.expected_species(model, n)))
+            for l in range(1, n + 1):
+                worst = _worse(worst, _rel_err(t["expected_cl"][l], route.expected_count(model, l, n)))
+                for r in range(2, r_max + 1):
+                    got = route.falling_factorial_moment(model, l, n, r)
+                    worst = _worse(worst, _rel_err(t["falling"][r][l], got))
+        for n in sizes:
+            if n + 1 not in tables:
+                continue
+            den, num = tables[n]["expected_cl"], tables[n + 1]["expected_cl"]
+            for l in range(1, n + 1):
+                if den[l] <= 0.0:
+                    continue  # conditioning on an impossible count; both routes refuse
+                ratio = (l + 1) / (n + 1) * num[l + 1] / den[l]
+                worst = _worse(worst, _rel_err(ratio, route.exact_good_turing(model, l, n)))
     return worst
 
 
@@ -252,16 +260,34 @@ def check_smoothing_chain() -> CheckResult:
 
 
 def check_structural_species(full: bool = True) -> CheckResult:
-    """E[K_n] through the structural distribution vs through the count sums:
-    every n at theta = 1, and spot checks at theta 0.5 and 10."""
+    """E[K_n] through the structural distribution vs through the Stirling-row
+    count sums: every n at theta = 1, and spot checks at theta 0.5 and 10."""
     n_max = 200 if full else 120
     cases = [(PitmanYor(alpha, 1.0), range(1, n_max + 1)) for alpha in (0.0, 0.25, 0.5, 0.75)]
     cases += [(PitmanYor(alpha, theta), (1, 50, n_max)) for alpha in (0.0, 0.5) for theta in (0.5, 10.0)]
     worst = 0.0
     for model, sizes in cases:
         for n in sizes:
-            worst = _worse(worst, _rel_err(model.expected_species_structural(n), model.expected_species(n)))
+            structural = model.expected_species_structural(n)
+            worst = _worse(worst, _rel_err(structural, GibbsModel.expected_species(model, n)))
     return _tol_result("structural-species", worst, 1e-8, f"rel err, n <= {n_max}")
+
+
+def check_pd_characterization(full: bool = True) -> CheckResult:
+    """The paper's characterization: under PD(alpha, theta) the exact
+    Good-Turing estimate equals the one-step predictive probability of a
+    species with that count, whatever the rest of the sample.  The predictive
+    side reads the model's weights V(n+1,k)/V(n,k); every reachable (k, l)."""
+    n_max = 30 if full else 8
+    worst = 0.0
+    for model in _oracle_grid():
+        k_top = n_max if model.s is None else model.s
+        for n in range(1, n_max + 1):
+            for k in range(1, min(n, k_top) + 1):
+                # one species seen l times and k - 1 others: l = n alone, or l <= n - k + 1
+                for l in ((n,) if k == 1 else range(1, n - k + 2)):
+                    worst = _worse(worst, _rel_err(model.predict_old(n, k, l), model.exact_good_turing(l, n)))
+    return _tol_result("pd-characterization", worst, 1e-10, f"rel err, every reachable (k, l), n <= {n_max}")
 
 
 def check_deep_enumeration() -> CheckResult:
@@ -304,6 +330,7 @@ def run_checks(level: str = "fast") -> list[CheckResult]:
         check_johnson_jeffreys(),
         check_smoothing_chain(),
         check_structural_species(full),
+        check_pd_characterization(full),
     ]
     if full:
         results += [check_deep_enumeration(), check_monte_carlo()]

@@ -1,4 +1,4 @@
-"""Acceptance suite: the eight headline guarantees, each printing one line.
+"""Acceptance suite: the nine headline guarantees, each printing one line.
 
 Every criterion names the `goodturing.verify` checks it stands on and runs
 them at the full level's cases, so the identities, their grids and their
@@ -27,6 +27,7 @@ CRITERIA = {
     6: [verify.check_smoothing_chain],
     7: [verify.check_structural_species],
     8: [verify.check_monte_carlo],
+    9: [verify.check_pd_characterization],
 }
 
 
@@ -37,7 +38,7 @@ def _criterion(capsys, num, budget_s=float("inf")):
     ok = all(r.passed for r in results) and elapsed < budget_s
     line = "; ".join(f"{r.name} {r.detail}" for r in results) + f"; {elapsed:.2f} s"
     with capsys.disabled():
-        print(f"acceptance {num}/8 {'PASS' if ok else 'FAIL'}: {line}")
+        print(f"acceptance {num}/{len(CRITERIA)} {'PASS' if ok else 'FAIL'}: {line}")
     assert ok, line
 
 
@@ -71,6 +72,10 @@ def test_criterion_7_structural_species_consistency(capsys):
 
 def test_criterion_8_monte_carlo_agreement(capsys):
     _criterion(capsys, 8, budget_s=60.0)
+
+
+def test_criterion_9_pd_characterization(capsys):
+    _criterion(capsys, 9)
 
 
 def test_criteria_cover_the_full_level_once(monkeypatch):

@@ -219,6 +219,21 @@ class TestBnp:
         )
         assert code == 2 and out == "" and "finite" in err
 
+    def test_stirling_route_above_the_row_ceiling_exits_2(self, capsys, monkeypatch):
+        from goodturing import specfun
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(specfun, "_next_row", no_rows)
+        n = str(specfun.MAX_ROW + 2)
+        code, out, err = run_cli(
+            capsys, "bnp", "--alpha", "0.5", "--theta", "1", "--l", "1", "--n", n, "--method", "stirling"
+        )
+        assert code == 2 and out == "" and "ceiling" in err
+        code, out, _ = run_cli(capsys, "bnp", "--alpha", "0.5", "--theta", "1", "--l", "1", "--n", n)
+        assert code == 0 and float(report_dict(out)["estimate"]) == 0.5 / (1 + specfun.MAX_ROW + 2)
+
     def test_alpha_required_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bnp", "--theta", "1", "--l", "1", "--n", "2"])
@@ -467,6 +482,51 @@ def test_fuzz_bnp_and_simulate_flags(argv):
     if argv[0] == "bnp" and code == 0:
         cells = out.getvalue().replace("\n", "\t").split("\t")
         assert not {"nan", "inf", "-inf"} & set(cells), out.getvalue()
+
+
+# -- fuzz: gt and smooth over generated counts and sample files ------------
+
+COUNT = st.integers(-2, 30) | st.integers(-(10**30), 10**30) | st.sampled_from(["x", "", " 3 ", "1e3", "nan", "9" * 5000])
+JUNK_LINE = st.builds(lambda l, c: f"{l},{c}", COUNT, COUNT) | st.sampled_from(["1,2,3", "1;2", ","]) | st.text(max_size=12)
+COUNTS_TABLE = st.dictionaries(st.integers(1, 12), st.integers(1, 40), max_size=8).map(
+    lambda table: [f" {l} ,{c}  # c_l" if l % 3 == 0 else f"{l},{c}" for l, c in table.items()])
+LABEL = st.sampled_from(["a", "b", "c", " d ", ""]) | st.text(max_size=4)
+
+
+@st.composite
+def count_file_argv(draw):
+    """argv for gt or smooth (the file path goes in at index 2), and the file's bytes."""
+    if draw(st.booleans()):
+        kind, lines = "--counts", ["# l,c_l", ""] + draw(COUNTS_TABLE)
+        if draw(st.booleans()):  # one line that may be malformed
+            lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINE))
+        body = "\n".join(lines).encode()
+    else:
+        kind = "--sample"
+        labels = st.lists(LABEL, min_size=1, max_size=30).map(lambda ls: "\n".join(ls).encode())
+        body = draw(labels | st.binary(max_size=40))
+    l = _flag("l", draw(st.integers(0, 12) | st.integers(-(10**20), 10**20)))
+    if draw(st.booleans()):
+        return ["gt", kind, *l, "--mode", draw(st.sampled_from(["approx", "ratio"]))], body
+    alpha = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | FLOATS
+    return ["smooth", kind, *l, *_flag("alpha", draw(alpha))], body
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(case=count_file_argv())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fuzz_gt_and_smooth_inputs(case, fuzz_dir):
+    argv, body = case
+    path = fuzz_dir / "input"
+    path.write_bytes(body)
+    argv = argv[:2] + [str(path)] + argv[2:]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2, 3)
 
 
 def test_no_subcommand_prints_usage(capsys):

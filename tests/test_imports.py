@@ -65,6 +65,19 @@ def test_count_commands_leave_numpy_out(argv, counts_file):
 
 
 @pytest.mark.parametrize("argv", [
+    ["bnp", "--alpha", "0.5", "--theta", "1", "--l", "1", "--n", "10"],
+    ["bnp", "--alpha=-0.5", "--s", "4", "--l", "1", "--n", "10", "--method", "closed", "--human"],
+])
+def test_closed_form_bnp_leaves_numpy_out(argv):
+    assert loaded_after(CLI_RUN.format(argv=argv)) == {"numpy": False, "scipy": False}
+
+
+def test_johnson_and_jeffreys_load_no_numpy():
+    setup = "from goodturing import jeffreys_estimate, johnson_estimate; johnson_estimate(0.5, 3, 1, 2)"
+    assert loaded_after(setup) == {"numpy": False, "scipy": False}
+
+
+@pytest.mark.parametrize("argv", [
     ["bnp", "--alpha", "0.5", "--theta", "1", "--l", "1", "--n", "10", "--check"],
     ["simulate", "--alpha", "0.5", "--theta", "1", "--n", "5", "--reps", "200", "--seed", "1"],
     ["simulate", "--pop", "0.5,0.5", "--n", "5", "--reps", "200", "--seed", "1"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from goodturing.gibbs import GibbsModel
 from goodturing.pitman_yor import PitmanYor, jeffreys_estimate, johnson_estimate
 
 
@@ -135,7 +136,7 @@ def test_closed_matches_stirling_route():
     for m in (PitmanYor(0.25, 1.0), PitmanYor(0.9, -0.4), PitmanYor(0.0, 0.5)):
         for n in (1, 2, 5, 12):
             for l in range(1, n + 1):
-                assert m.exact_good_turing(l, n) == pytest.approx(
+                assert GibbsModel.exact_good_turing(m, l, n) == pytest.approx(
                     m.exact_good_turing_closed(l, n), rel=1e-11
                 )
 
@@ -176,10 +177,11 @@ def test_huge_discount_stays_finite():
     # |alpha| s is finite, but n |alpha| overflows inside the Stirling factors n - k alpha
     m = PitmanYor(-1e306, s=2)
     for l, n in ((1, 3), (1, 500), (250, 500)):
-        assert m.exact_good_turing(l, n) == pytest.approx(m.exact_good_turing_closed(l, n), rel=1e-9)
-    assert m.expected_species(500) == pytest.approx(2.0, rel=1e-8)  # as at alpha = -1e100
-    with pytest.raises(ValueError, match="probability zero"):
-        PitmanYor(-1e308, s=1).exact_good_turing(1, 5)  # one species is always seen n times
+        assert GibbsModel.exact_good_turing(m, l, n) == pytest.approx(m.exact_good_turing_closed(l, n), rel=1e-9)
+    assert GibbsModel.expected_species(m, 500) == pytest.approx(2.0, rel=1e-8)  # as at alpha = -1e100
+    for route in (GibbsModel, PitmanYor):
+        with pytest.raises(ValueError, match="probability zero"):
+            route.exact_good_turing(PitmanYor(-1e308, s=1), 1, 5)  # one species is always seen n times
 
 
 def test_structural_species_dirichlet_process_harmonic():
@@ -196,7 +198,7 @@ def test_structural_species_matches_partition_route():
     for m in (PitmanYor(0.5, 0.5), PitmanYor(0.25, 2.0)):
         for n in (1, 2, 3, 10, 40):
             assert m.expected_species_structural(n) == pytest.approx(
-                m.expected_species(n), rel=1e-10
+                GibbsModel.expected_species(m, n), rel=1e-10
             )
 
 

@@ -5,9 +5,12 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 from goodturing import specfun
+from goodturing.gibbs import GibbsModel
+from goodturing.pitman_yor import PitmanYor
 from goodturing.specfun import (
     CHECKPOINT_STRIDE,
     DENSE_ROWS,
+    MAX_ROW,
     StirlingRows,
     iter_stirling_log_rows,
     log_rising,
@@ -121,6 +124,24 @@ def test_streaming_validates_input():
     for alpha in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             list(iter_stirling_log_rows(3, alpha))
+
+
+def test_rows_above_the_ceiling_are_refused_before_any_is_built(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(specfun, "_next_row", no_rows)
+    rows = StirlingRows(0.5)
+    for m in (MAX_ROW + 1, MAX_ROW + 2):
+        with pytest.raises(ValueError, match="ceiling"):
+            rows.log_row(m)
+        with pytest.raises(ValueError, match="ceiling"):
+            iter_stirling_log_rows(m, 0.5)  # on the call, not on the first row
+    with pytest.raises(ValueError, match="ceiling"):
+        PitmanYor(0.5, 1.0).stirling_rows.log_row(MAX_ROW + 1)
+    with pytest.raises(ValueError, match="ceiling"):
+        GibbsModel.exact_good_turing(PitmanYor(0.5, 1.0), 1, MAX_ROW + 2)  # needs row n - l
+    assert PitmanYor(0.5, 1.0).exact_good_turing(1, MAX_ROW + 2) > 0  # the closed form has no ceiling
 
 
 def test_large_row_stays_finite():
