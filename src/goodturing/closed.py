@@ -22,10 +22,9 @@ Johnson's and Jeffreys' rules are reproduced bit for bit.
 
 Ratios of rising factorials go through one helper, :func:`log_rising_ratio`,
 a sum of ``log1p`` terms that are each accurate to a few ulps, in place of
-a difference of two large log-gamma values; past base 64 it takes the rest
-of the sum from Stirling's series without cancellation, so a moment costs
-O(l r) whatever n is, unless |alpha| is large.  At n = 10^4 the moments
-stay within about 1e-13 of 50-digit references.
+a difference of two large log-gamma values.  A moment or E[K_n] costs O(n)
+float operations and no Stirling row; the discovery probability is O(1).
+At n = 10^4 the moments stay within about 1e-13 of 50-digit references.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ __all__ = [
 
 #: minimum admissible value of theta + alpha (guard band around the open boundary)
 _THETA_GUARD = 1e-12
-#: log_rising_ratio sums its terms one by one below base _SERIES_FROM * max(1, d)
-_SERIES_FROM = 64
-#: B_2k / (2k (2k-1)), k = 1..4: Stirling's series of log-gamma, in powers x^(1-2k)
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
 
 
 # -- parameters --------------------------------------------------------------
@@ -109,54 +104,11 @@ def log_rising_ratio(y: float, d: float, m: int) -> float:
     of two rounded bases.  A negative shift is summed from the other end,
     -log((y + d - d)_m / (y + d)_m), so every log1p argument is >= 0 and
     each term keeps full relative accuracy however close y + d is to 0.
-    Terms are summed one by one up to base 64 max(1, d); the rest, if any,
-    come from Stirling's series, so the cost is O(min(m, 64 max(1, d))).
     """
     y, d = float(y), float(d)
     if d < 0:
         return -log_rising_ratio(y + d, -d, m)
-    head = min(m, max(0, math.ceil(_SERIES_FROM * max(1.0, d) - y)))
-    total = math.fsum([math.log1p(d / (y + i)) for i in range(head)])
-    if head == m:
-        return total
-    x0, x1 = y + head, y + m
-    # lgamma(x + d) - lgamma(x) = d log(x + d) + _stirling_rest(x, d) from x0 to x1
-    return math.fsum((total, d * math.log1p((m - head) / (x0 + d)), _stirling_rest(x1, d), -_stirling_rest(x0, d)))
-
-
-def _stirling_rest(x: float, d: float) -> float:
-    """lgamma(x + d) - lgamma(x) - d log(x + d), for d >= 0 and x >= 64 max(1, d).
-
-    With u = d/x <= 1/64 it is x (log1p(u) - u) - log1p(u)/2 plus
-    sum_k c_k x^(1-2k) expm1((1-2k) log1p(u)).  log1p(u) - u comes from its
-    alternating series, so no term cancels: the result is accurate to a few
-    ulps of its size, O(d (d+1) / x).  The series' next term is below 1e-17
-    relative at x >= 64.
-    """
-    u = d / x
-    log1p_u = math.log1p(u)
-    poly = 0.0  # log1p(u) - u = u^2 sum_{j>=2} (-1)^(j+1) u^(j-2) / j, by Horner
-    for j in range(13, 1, -1):
-        poly = (1.0 if j % 2 else -1.0) / j + u * poly
-    terms = [x * u * u * poly, -0.5 * log1p_u]
-    terms += [c * x ** (1 - 2 * k) * math.expm1((1 - 2 * k) * log1p_u) for k, c in enumerate(_STIRLING, start=1)]
-    return math.fsum(terms)
-
-
-def _harmonic(y: float, m: int) -> float:
-    """sum_{i<m} 1 / (y + i) for y > 0: the d -> 0 limit of log_rising_ratio(y, d, m) / d.
-
-    Terms below base 64 one by one, the rest as digamma(x1) - digamma(x0)
-    from its asymptotic series, log x - 1/(2x) - sum_k B_2k / (2k x^2k).
-    """
-    head = min(m, max(0, math.ceil(_SERIES_FROM - y)))
-    total = math.fsum([1.0 / (y + i) for i in range(head)])
-    if head == m:
-        return total
-    x0, x1 = y + head, y + m
-    terms = [total, math.log1p((m - head) / x0), 0.5 / x0, -0.5 / x1]
-    terms += [c * (2 * k - 1) * (x0 ** -(2 * k) - x1 ** -(2 * k)) for k, c in enumerate(_STIRLING, start=1)]
-    return math.fsum(terms)
+    return math.fsum(math.log1p(d / (y + i)) for i in range(m))
 
 
 def _log_ratio(x: float, y: float) -> float:
@@ -219,7 +171,7 @@ def expected_species(alpha: float, theta: float, s: int | None, n: int) -> float
         log_ratio = log_rising_ratio(theta + 1.0, alpha, n - 1)
         return (theta + alpha) / alpha * math.exp(log_ratio) - theta / alpha
     if alpha < 1e-150:  # log1p(alpha/x) = alpha/x to a relative 1e-150: L / alpha is harmonic
-        rate = _harmonic(theta + 1.0, n - 1)
+        rate = math.fsum(1.0 / (theta + 1.0 + i) for i in range(n - 1))
         log_ratio = alpha * rate
     else:
         log_ratio = log_rising_ratio(theta + 1.0, alpha, n - 1)

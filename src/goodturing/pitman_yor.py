@@ -15,7 +15,7 @@ count or on the whole frequency vector gives identical answers here.
 
 :class:`PitmanYor` answers ``exact_good_turing``, ``expected_count``,
 ``falling_factorial_moment`` and ``expected_species`` from the closed
-forms of :mod:`goodturing.closed`, in O(1) or O(l r) with no Stirling row.
+forms of :mod:`goodturing.closed`, in O(1) or O(n) with no Stirling row.
 The generic Stirling-sum route stays reachable as
 ``GibbsModel.<method>(model, ...)``, and ``exact_good_turing_row`` and
 everything built on the weights (``eppf``, ``predict_old``,

@@ -278,7 +278,7 @@ def check_pd_characterization(full: bool = True) -> CheckResult:
     Good-Turing estimate equals the one-step predictive probability of a
     species with that count, whatever the rest of the sample.  The predictive
     side reads the model's weights V(n+1,k)/V(n,k); every reachable (k, l)."""
-    n_max = 30 if full else 8
+    n_max = 30 if full else 7
     worst = 0.0
     for model in _oracle_grid():
         k_top = n_max if model.s is None else model.s

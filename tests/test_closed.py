@@ -122,3 +122,10 @@ def test_log_rising_ratio(y, d, m):
     with mpmath.workdps(50):
         want = mpmath.fsum(mpmath.log(mpmath.mpf(y) + d + i) - mpmath.log(mpmath.mpf(y) + i) for i in range(m))
     assert closed.log_rising_ratio(y, d, m) == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 1e-310, 5e-324])
+def test_species_at_a_vanishing_discount(alpha):
+    # the log1p terms of a subnormal alpha lose their bits: the mean reads the harmonic sum
+    for n in (2, 1000):
+        assert PitmanYor(alpha, 2.0).expected_species(n) == pytest.approx(PitmanYor(0.0, 2.0).expected_species(n), rel=1e-15)

@@ -137,11 +137,15 @@ def test_expected_count_totals(pd_half):
         assert sum(cl) == pytest.approx(GibbsModel.expected_species(pd_half, n), rel=1e-12)
 
 
+#: the closed-form route and the Stirling-sum route of a Pitman-Yor model
+ROUTES = (PitmanYor, GibbsModel)
+
+
 def test_expected_count_range_errors(pd_half):
-    with pytest.raises(ValueError):
-        GibbsModel.expected_count(pd_half, 0, 3)
-    with pytest.raises(ValueError):
-        GibbsModel.expected_count(pd_half, 4, 3)
+    for route in ROUTES:
+        for l, n in ((0, 3), (4, 3), (1, 0)):
+            with pytest.raises(ValueError):
+                route.expected_count(pd_half, l, n)
 
 
 def test_falling_factorial_moment(pd_half):
@@ -153,8 +157,20 @@ def test_falling_factorial_moment(pd_half):
         )
     # more blocks of size l than fit in n
     assert GibbsModel.falling_factorial_moment(pd_half, 4, 7, 2) == 0.0
-    with pytest.raises(ValueError):
-        GibbsModel.falling_factorial_moment(pd_half, 1, 5, 0)
+
+
+@pytest.mark.parametrize("l, n, r", [(1, 5, 0), (1, 5, -1), (0, 5, 1), (6, 5, 1), (1, 0, 1)])
+def test_falling_factorial_moment_errors(pd_half, l, n, r):
+    for route in ROUTES:
+        with pytest.raises(ValueError):
+            route.falling_factorial_moment(pd_half, l, n, r)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_expected_species_errors(pd_half, n):
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="must be >= 1"):
+            route.expected_species(pd_half, n)
 
 
 def test_expected_species_pinned(pd_half):
@@ -195,15 +211,15 @@ def test_exact_good_turing_pinned(pd_half):
 
 
 def test_exact_good_turing_errors(pd_half):
-    with pytest.raises(ValueError):
-        GibbsModel.exact_good_turing(pd_half, 0, 5)
-    with pytest.raises(ValueError):
-        GibbsModel.exact_good_turing(pd_half, 6, 5)
+    for route in ROUTES:
+        for l, n in ((0, 5), (6, 5), (1, 0)):
+            with pytest.raises(ValueError):
+                route.exact_good_turing(pd_half, l, n)
 
 
 def test_exact_good_turing_impossible_count():
     m = PitmanYor(-0.5, s=1)  # single species: C(l, n) = 0 for l < n
-    for route in (GibbsModel, PitmanYor):
+    for route in ROUTES:
         with pytest.raises(ValueError, match="impossible"):
             route.exact_good_turing(m, 1, 3)
         assert route.exact_good_turing(m, 3, 3) == pytest.approx(1.0, rel=1e-12)
