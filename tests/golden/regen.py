@@ -66,7 +66,24 @@ ARGV = {
     ],
     "simulate_population": ["simulate", "--pop", "0.5,0.3,0.2", "--n", "4", "--reps", "200", "--seed", "3"],
     "simulate_bad_population": ["simulate", "--pop", "0.5,zebra", "--n", "4", "--reps", "200", "--seed", "3"],
+    "simulate_pitman_yor_passes": [
+        "simulate", "--alpha", "0.5", "--theta", "1", "--n", "1000", "--reps", "1000", "--seed", "4", "--l", "5",
+    ],
+    "simulate_negative_alpha_passes": [
+        "simulate", "--alpha=-0.5", "--s", "50", "--n", "300", "--reps", "1200", "--seed", "6", "--l", "5",
+    ],
+    "simulate_population_alias": [
+        "simulate", "--pop", ",".join(["0.03"] * 20 + ["0.02"] * 20), "--n", "60", "--reps", "3000", "--seed", "8",
+    ],
+    "simulate_false_alarm": [
+        "simulate", "--alpha=0.449907895057036", "--theta=-1.192092896e-07", "--l=39", "--n=120", "--reps=176",
+        "--seed=1444", "--check",
+    ],
+    "simulate_population_check": [
+        "simulate", "--pop", "0.4,0.3,0.2,0.1", "--n", "10", "--reps", "1000", "--seed", "12", "--check",
+    ],
     "gt_counts": ["gt", "--counts", "{golden}/counts.csv", "--l", "1"],
+    "gt_sample": ["gt", "--sample", "{golden}/sample.txt", "--l", "1"],
     "gt_ratio_undefined": ["gt", "--counts", "{golden}/counts.csv", "--l", "3", "--mode", "ratio"],
     "smooth": ["smooth", "--alpha", "0.6", "--counts", "{golden}/counts.csv", "--l", "3"],
     "smooth_human": ["smooth", "--alpha", "0.25", "--counts", "{golden}/counts.csv", "--l", "0", "--human"],
