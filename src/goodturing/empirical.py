@@ -36,6 +36,32 @@ __all__ = [
 ]
 
 
+def check_probabilities(probs) -> np.ndarray:
+    """``probs`` as a float array, if it is a nonempty 1-d vector of finite,
+    nonnegative frequencies summing to 1 within 1e-12; ValueError otherwise."""
+    p = _probability_entries(probs)
+    _check_total(p)
+    return p
+
+
+def _probability_entries(probs) -> np.ndarray:
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("population needs a nonempty 1-d probability vector")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("population frequencies must be finite")
+    if np.any(p < 0):
+        raise ValueError("population frequencies must be nonnegative")
+    return p
+
+
+def _check_total(p: np.ndarray):
+    with np.errstate(over="ignore"):  # a total that overflows is off too
+        total = p.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"frequencies must sum to 1 (got {total!r})")
+
+
 class FinitePopulation:
     """Known species frequencies (p_1, ..., p_s), summing to one.
 
@@ -46,22 +72,11 @@ class FinitePopulation:
     """
 
     def __init__(self, probs: Sequence[float]):
-        p = np.asarray(probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("population needs a nonempty 1-d probability vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("population frequencies must be finite")
-        if np.any(p < 0):
-            raise ValueError("population frequencies must be nonnegative")
+        p = _probability_entries(probs)
         if np.any(p == 0):
             warnings.warn("dropping zero-probability species", stacklevel=2)
             p = p[p > 0]
-            if p.size == 0:
-                raise ValueError("population has no positive frequencies")
-        with np.errstate(over="ignore"):  # a total that overflows is off too
-            total = p.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"frequencies must sum to 1 (got {total!r})")
+        _check_total(p)  # no positive entry leaves a total of 0
         self.probs = p
         self.probs.flags.writeable = False
         self._log_p = np.log(p)

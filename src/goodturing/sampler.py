@@ -1,9 +1,10 @@
 """Seeded Monte Carlo generators for checking every expectation empirically.
 
 Two sources: the sequential urn driven by a Gibbs model's predictive rules,
-and i.i.d. categorical draws from a known finite population.  Replicates
-are simulated in blocks, a whole block one urn step (or one draw matrix)
-at a time.  Reproducibility is by construction:
+and i.i.d. categorical draws from a known finite population.
+
+Stream blocks fix which uniforms each replicate reads, so reproducibility
+is by construction:
 
 - block b of a run seeded with s draws a row-major (rows, n - 1) matrix of
   uniforms ((rows, n) for a population) from the numpy stream keyed by
@@ -15,16 +16,31 @@ at a time.  Reproducibility is by construction:
 - replicate 0 is exactly ``sample_gibbs(model, n, seed)`` or
   ``sample_population(pop, n, seed)``, which run the same code on a block
   of one row.
+
+Passes fix only how the work is batched.  The urn takes one step for every
+row of a pass at once, and a pass is as many consecutive stream blocks as
+fit in :data:`URN_PASS` elements: each block's uniforms are written into
+its own rows of the pass, so the replicates read the same uniforms as
+block by block.  At large n a block holds few rows and numpy's per-call
+cost dominates a step, so the fewer, longer steps of a pass are faster.
+A population draw is a few array operations per block, and runs block by
+block.
+
+Memory stays bounded whatever ``reps`` is: a pass holds 12 bytes per
+element (float64 uniforms and int32 labels), the uniforms are freed before
+counting, and the statistics are taken one stream block at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import FinitePopulation, FrequencyCounts
+from .counts import _check_integer
+from .empirical import FinitePopulation, FrequencyCounts, check_probabilities
 from .gibbs import Composition, GibbsModel
 from .pitman_yor import PitmanYor
 
@@ -39,11 +55,14 @@ __all__ = [
 
 #: populations larger than this use alias-table sampling; smaller ones a cumulative scan
 ALIAS_THRESHOLD = 32
-#: elements (rows x n) per urn block.  The uniforms and the labels are the
-#: block-sized arrays (16 bytes per element); a larger budget speeds up
-#: large n, where numpy's per-call cost dominates a step, at the cost of
-#: peak memory
+#: elements (rows x n) per urn stream block: block b draws
+#: ``URN_BLOCK // n`` rows from stream b.  Part of the stream layout, so
+#: changing it changes every table
 URN_BLOCK = 1 << 16
+#: elements (rows x n) per urn pass: the urn runs once over as many
+#: consecutive stream blocks as fit.  Not part of the layout; a pass holds
+#: 12 bytes per element (float64 uniforms, int32 labels), so 3 MiB
+URN_PASS = 1 << 18
 #: elements (rows x max(n, s)) per population block; a draw makes several
 #: temporaries of the block's size, so these blocks are smaller
 POPULATION_BLOCK = 1 << 14
@@ -88,12 +107,25 @@ def sample_gibbs(model: GibbsModel, n: int, seed: int) -> SampleSummary:
     split it the same way, so on the same uniforms they draw the same
     sample.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    model._check_size(n)
+    n, seed = _check_run(model, (GibbsModel,), n, seed)
     urn = _urn_pitman_yor if isinstance(model, PitmanYor) else _urn_generic
     labels = urn(model, _stream(seed, 0).random((1, n - 1)))[0]
     return _summarize(np.bincount(labels).tolist())
+
+
+def _check_run(source, kinds: tuple[type, ...], n, seed) -> tuple[int, int]:
+    """n and seed as ints, if the source is one of ``kinds``, n >= 1 and
+    seed >= 0 are integers, and a model supports size n; ValueError
+    otherwise."""
+    if not isinstance(source, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"source must be a {names}, got {type(source)!r}")
+    _check_integer("n", n, 1)
+    _check_integer("seed", seed, 0)
+    n = int(n)
+    if isinstance(source, GibbsModel):
+        source._check_size(n)
+    return n, int(seed)
 
 
 def _urn_pitman_yor(model: PitmanYor, uniforms: np.ndarray) -> np.ndarray:
@@ -126,9 +158,9 @@ def _urn_generic(model: GibbsModel, uniforms: np.ndarray) -> np.ndarray:
 def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
     """Run one urn per row of ``uniforms`` (rows, n - 1).
 
-    Returns a (rows, n) array whose row i lists the species label of each
-    of row i's n draws, in no particular order; labels number species in
-    order of appearance from 0.  Species j's weight c_j - alpha is split as
+    Returns a (rows, n) int32 array whose row i lists the species label of
+    each of row i's n draws, in no particular order; labels number species
+    in order of appearance from 0.  Species j's weight c_j - alpha is split as
     1 per earlier repeat draw of j plus 1 - alpha for its founding draw
     (Pitman, 2006, ch. 3), so at step m the uniform, scaled by the total
     weight, lands in one of three regions: the m - k repeat draws (pick one
@@ -140,7 +172,7 @@ def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
     n = steps + 1
     # repeat draws fill a row from the left, slot m - k taking draw m's
     # label; the founders' labels k-1 .. 0 sit preset in the last k slots
-    labels = np.tile(np.arange(n - 1, -1, -1), (rows, 1))
+    labels = np.tile(np.arange(n - 1, -1, -1, dtype=np.int32), (rows, 1))
     flat = labels.ravel()
     base = np.arange(rows) * n
     k = np.ones(rows, dtype=np.intp)
@@ -161,13 +193,10 @@ def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
 
 
 def _offset_bincount(values: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise bincount of values in [0, width): out[i, v] counts v in row i.
-
-    ``values``, an intp array, is overwritten.
-    """
+    """Row-wise bincount of integer values in [0, width): out[i, v] counts v in row i."""
     rows = values.shape[0]
-    values += (np.arange(rows) * width)[:, None]
-    return np.bincount(values.ravel(), minlength=rows * width).reshape(rows, width)
+    offset = values + (np.arange(rows) * width)[:, None]
+    return np.bincount(offset.ravel(), minlength=rows * width).reshape(rows, width)
 
 
 # -- finite population ---------------------------------------------------
@@ -178,11 +207,12 @@ class CategoricalSampler:
 
     Uses a Vose alias table above :data:`ALIAS_THRESHOLD` entries (O(1) per
     draw) and a cumulative-probability scan below it.  One uniform per
-    draw either way, so the stream layout is the same.
+    draw either way, so the stream layout is the same.  ``probs`` follows
+    :class:`FinitePopulation`'s rules, zeros aside, which are kept.
     """
 
     def __init__(self, probs: np.ndarray):
-        p = np.asarray(probs, dtype=float)
+        p = check_probabilities(probs)
         self.s = p.size
         self.use_alias = self.s > ALIAS_THRESHOLD
         if self.use_alias:
@@ -199,11 +229,8 @@ class CategoricalSampler:
         u = u * self.s
         idx = u.astype(np.intp)
         np.minimum(idx, self.s - 1, out=idx)
-        u -= idx
-        alias = u >= self._accept[idx]  # the fractional part picks the cell or its alias
-        del u
-        idx[alias] = self._alias[idx[alias]]
-        return idx
+        u -= idx  # the fractional part picks the cell or its alias
+        return np.where(u >= self._accept[idx], self._alias[idx], idx)
 
 
 def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +253,7 @@ def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sample_population(pop: FinitePopulation, n: int, seed: int) -> SampleSummary:
     """n independent draws from the fixed frequencies, summarized."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, seed = _check_run(pop, (FinitePopulation,), n, seed)
     draws = CategoricalSampler(pop.probs).draw(_stream(seed, 0), (1, n))[0]
     _, first, counts = np.unique(draws, return_index=True, return_counts=True)
     return _summarize(counts[np.argsort(first, kind="stable")].tolist())
@@ -284,17 +310,19 @@ def monte_carlo_moments(
     (multinomial sampling).  Replicates run in blocks; block b uses the
     stream keyed by (seed, b) (see the module docstring).  Each statistic
     and its square are summed over the replicates in integers, which is
-    exact, so the result does not depend on the block layout and memory
-    stays within one block whatever ``reps`` is.  The variance comes from
-    those exact sums, correctly rounded.
+    exact, so the result does not depend on the block layout, and memory
+    stays within one pass whatever ``reps`` is.  The variance comes from
+    those exact sums, correctly rounded.  ``n``, ``reps``, ``seed`` and
+    ``l_max`` must be integers; ValueError otherwise.
     """
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n, seed = _check_run(source, (GibbsModel, FinitePopulation), n, seed)
+    _check_integer("reps", reps, 100)
+    reps = int(reps)
     if l_max is None:
         l_max = n
-    if not 1 <= l_max <= n:
+    _check_integer("l_max", l_max, 1)
+    l_max = int(l_max)
+    if l_max > n:
         raise ValueError(f"need 1 <= l_max <= n, got l_max={l_max}")
     # every statistic is at most n, so int64 holds reps * n^2
     sums = np.zeros(1 + l_max, dtype=np.int64)
@@ -312,30 +340,35 @@ def monte_carlo_moments(
 
 
 def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
-    """Yield one (rows, 1 + l_max) int64 array per block: K, C_1 .. C_lmax
-    of each replicate, in replicate order."""
-    if isinstance(source, GibbsModel):
-        source._check_size(n)
-        urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
-        rows = max(1, URN_BLOCK // n)
-
-        def block(rng, size):
-            return _offset_bincount(urn(source, rng.random((size, n - 1))), n)
-
-    elif isinstance(source, FinitePopulation):
+    """Yield one (rows, 1 + l_max) int64 array per stream block: K, C_1 ..
+    C_lmax of each replicate, in replicate order.  The caller checks the
+    arguments."""
+    if isinstance(source, FinitePopulation):
         sampler = CategoricalSampler(source.probs)
         rows = max(1, POPULATION_BLOCK // max(n, sampler.s))
+        for b, lo in enumerate(range(0, reps, rows)):
+            draws = sampler.draw(_stream(seed, b), (min(rows, reps - lo), n))
+            yield _block_stats(_offset_bincount(draws, sampler.s), n, l_max)
+        return
+    urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
+    rows = max(1, URN_BLOCK // n)
+    sizes = [min(rows, reps - lo) for lo in range(0, reps, rows)]
+    per_pass = max(1, URN_PASS // (rows * n))
+    for first in range(0, len(sizes), per_pass):
+        bounds = list(itertools.accumulate(sizes[first : first + per_pass], initial=0))
+        uniforms = np.empty((bounds[-1], n - 1))
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
+            _stream(seed, b).random(out=uniforms[lo:hi])  # the doubles of random((hi - lo, n - 1))
+        labels = urn(source, uniforms)
+        del uniforms  # free the pass's uniforms before counting
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield _block_stats(_offset_bincount(labels[lo:hi], n), n, l_max)
+        del labels  # and its labels before the next pass is drawn
 
-        def block(rng, size):
-            return _offset_bincount(sampler.draw(rng, (size, n)), sampler.s)
 
-    else:
-        raise ValueError(f"source must be a GibbsModel or FinitePopulation, got {type(source)!r}")
-
-    for b, lo in enumerate(range(0, reps, rows)):
-        counts = block(_stream(seed, b), min(rows, reps - lo))  # species multiplicities, one row per replicate
-        stats = np.empty((counts.shape[0], 1 + l_max), dtype=np.int64)
-        stats[:, 0] = np.count_nonzero(counts, axis=1)
-        stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
-        del counts  # free the block before the next one is drawn
-        yield stats
+def _block_stats(counts: np.ndarray, n: int, l_max: int) -> np.ndarray:
+    """K, C_1 .. C_lmax per row of species multiplicities."""
+    stats = np.empty((counts.shape[0], 1 + l_max), dtype=np.int64)
+    stats[:, 0] = np.count_nonzero(counts, axis=1)
+    stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
+    return stats

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from goodturing.empirical import FinitePopulation
-from goodturing.gibbs import TabularGibbsModel
+from goodturing.gibbs import GibbsModel, TabularGibbsModel
 from goodturing.oracle import oracle_moment_table, oracle_stirling
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
     POPULATION_BLOCK,
     URN_BLOCK,
+    URN_PASS,
     CategoricalSampler,
     MomentTable,
     monte_carlo_moments,
@@ -145,6 +146,60 @@ class TestCategoricalSampler:
         freq = np.bincount(draws, minlength=4) / 200_000
         tol = 5 * np.sqrt(p * (1 - p) / 200_000)
         assert np.all(np.abs(freq - p) <= tol)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "probs",
+        [[math.nan, 1.0], [-0.5, 1.5], [0.2, 0.2], [], [[0.5, 0.5]], [math.inf, 0.0], [1e308, 1e308]],
+    )
+    def test_probabilities_follow_the_population_rules(self, probs):
+        with pytest.raises(ValueError) as sampler_error:
+            CategoricalSampler(probs)
+        with pytest.raises(ValueError) as population_error:
+            FinitePopulation(probs)
+        assert str(sampler_error.value) == str(population_error.value)
+
+    @pytest.mark.parametrize("s", [3, ALIAS_THRESHOLD + 3])
+    def test_zero_probabilities_are_kept_and_never_drawn(self, s):
+        p = np.zeros(s)
+        p[1:] = 1.0 / (s - 1)
+        sampler = CategoricalSampler(p)
+        assert sampler.s == s
+        assert 0 not in sampler.draw(np.random.default_rng(3), 5000)
+
+    @pytest.mark.parametrize(
+        "bad", [{"n": 5.5}, {"n": 0}, {"n": math.nan}, {"seed": 1.5}, {"seed": -1}, {"seed": math.inf}]
+    )
+    @pytest.mark.parametrize("run", ["sample_gibbs", "sample_population", "monte_carlo_moments"])
+    def test_n_and_seed_must_be_integers(self, run, bad, pd_half, pop):
+        source, extra = {
+            "sample_gibbs": (pd_half, {}),
+            "sample_population": (pop, {}),
+            "monte_carlo_moments": (pd_half, {"reps": 100}),
+        }[run]
+        fn = {"sample_gibbs": sample_gibbs, "sample_population": sample_population,
+              "monte_carlo_moments": monte_carlo_moments}[run]
+        with pytest.raises(ValueError, match="n must|seed must"):
+            fn(source, **{"n": 5, "seed": 1, **extra, **bad})
+
+    @pytest.mark.parametrize("bad", [{"reps": 150.5}, {"reps": math.nan}, {"reps": 99}, {"l_max": 2.5}, {"l_max": 0}])
+    def test_reps_and_l_max_must_be_integers(self, bad, pd_half):
+        with pytest.raises(ValueError, match="reps must|l_max must"):
+            monte_carlo_moments(pd_half, **{"n": 5, "reps": 100, "seed": 1, **bad})
+
+    def test_integral_floats_are_integers(self, pd_half):
+        a = monte_carlo_moments(pd_half, 5.0, 100.0, 1.0, l_max=3.0)
+        b = monte_carlo_moments(pd_half, 5, 100, 1, l_max=3)
+        assert (a.n, a.reps, a.seed) == (5, 100, 1) and type(a.seed) is int
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.ses, b.ses)
+
+    def test_source_kind(self, pd_half, pop):
+        with pytest.raises(ValueError, match="GibbsModel"):
+            sample_gibbs(pop, 5, 1)
+        with pytest.raises(ValueError, match="FinitePopulation"):
+            sample_population(pd_half, 5, 1)
 
 
 class TestSamplePopulation:
@@ -294,6 +349,52 @@ def test_moments_come_from_exact_sums(pd_half, pop):
             mean = Fraction(sum(column), reps)
             var = sum((Fraction(v) - mean) ** 2 for v in column) / (reps - 1)
             assert t.ses[j] == np.sqrt(float(var)) / np.sqrt(reps)
+
+
+@pytest.mark.parametrize("n, reps", [(300, 2000), (1000, 600)])
+def test_passes_read_each_blocks_own_stream(n, reps):
+    # the reference runs the urn block by block, each block on its own
+    # random((rows, n - 1)); both sizes span three passes
+    model, seed = PitmanYor(0.5, 1.0), 12
+    rows = URN_BLOCK // n
+    assert reps > 2 * (URN_PASS // (rows * n)) * rows
+    want = []
+    for b, lo in enumerate(range(0, reps, rows)):
+        u = np.random.default_rng((seed, b)).random((min(rows, reps - lo), n - 1))
+        for labels in _urn_pitman_yor(model, u):
+            counts = np.bincount(labels)
+            want.append([np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1:]])
+    np.testing.assert_array_equal(_replicate_stats(model, n, reps, seed, n), want)
+
+
+class _StoredRows(GibbsModel):
+    """A model's log weight rows, stored: a plain Gibbs model, so the sampler
+    takes its generic urn, at sizes no weight table reaches."""
+
+    def __init__(self, model, n):
+        super().__init__(model.alpha)
+        self._rows = [model.log_weight_row(m, m) for m in range(1, n + 1)]
+
+    def log_weight_row(self, n, kmax):
+        return self._rows[n - 1][:kmax]
+
+
+@pytest.mark.parametrize("urn", ["pitman-yor", "generic"])
+def test_memory_is_one_pass(urn):
+    # a pass holds 12 bytes per element (float64 uniforms, int32 labels);
+    # beside it lives one block of statistics (rows x (1 + n) int64, as
+    # l_max = n), and half a block more covers the per-step arrays
+    model = PitmanYor(0.5, 1.0)
+    source = model if urn == "pitman-yor" else _StoredRows(model, 1000)
+    assert URN_PASS <= 1 << 18  # 3 MiB of pass arrays
+    monte_carlo_moments(source, 1000, 100, 1)  # first-call set-up
+    tracemalloc.start()
+    try:
+        monte_carlo_moments(source, 1000, 4000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * URN_PASS + 12 * URN_BLOCK
 
 
 def test_memory_does_not_grow_with_reps():
