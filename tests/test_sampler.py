@@ -173,15 +173,13 @@ class TestInputChecks:
     )
     @pytest.mark.parametrize("run", ["sample_gibbs", "sample_population", "monte_carlo_moments"])
     def test_n_and_seed_must_be_integers(self, run, bad, pd_half, pop):
-        source, extra = {
-            "sample_gibbs": (pd_half, {}),
-            "sample_population": (pop, {}),
-            "monte_carlo_moments": (pd_half, {"reps": 100}),
+        call = {
+            "sample_gibbs": lambda **kw: sample_gibbs(pd_half, **kw),
+            "sample_population": lambda **kw: sample_population(pop, **kw),
+            "monte_carlo_moments": lambda **kw: monte_carlo_moments(pd_half, reps=100, **kw),
         }[run]
-        fn = {"sample_gibbs": sample_gibbs, "sample_population": sample_population,
-              "monte_carlo_moments": monte_carlo_moments}[run]
         with pytest.raises(ValueError, match="n must|seed must"):
-            fn(source, **{"n": 5, "seed": 1, **extra, **bad})
+            call(**{"n": 5, "seed": 1, **bad})
 
     @pytest.mark.parametrize("bad", [{"reps": 150.5}, {"reps": math.nan}, {"reps": 99}, {"l_max": 2.5}, {"l_max": 0}])
     def test_reps_and_l_max_must_be_integers(self, bad, pd_half):
