@@ -75,6 +75,9 @@ ARGV = {
     "simulate_population_alias": [
         "simulate", "--pop", ",".join(["0.03"] * 20 + ["0.02"] * 20), "--n", "60", "--reps", "3000", "--seed", "8",
     ],
+    "simulate_population_wide": [
+        "simulate", "--pop", ",".join(["0.006"] * 50 + ["0.014"] * 50), "--n", "40", "--reps", "3000", "--seed", "9",
+    ],
     "simulate_false_alarm": [
         "simulate", "--alpha=0.449907895057036", "--theta=-1.192092896e-07", "--l=39", "--n=120", "--reps=176",
         "--seed=1444", "--check",

@@ -5,7 +5,8 @@ within one version, where a version is this package plus numpy's
 ``Generator.random`` stream.  The stream digests fail alone when numpy
 changes the stream (its policy is NEP 19); the table digests fail when
 either side changes.  Every digest was computed before the urn ran in
-passes of several stream blocks, and the passes keep them.
+passes of several stream blocks, and the passes keep them; the
+``population-wide`` digest was computed before populations ran in passes.
 """
 
 import hashlib
@@ -48,39 +49,44 @@ def test_filling_a_slice_draws_the_same_doubles():
     np.testing.assert_array_equal(out[2:9], want)
 
 
-def _alias_population():
-    w = np.linspace(1.0, 3.0, 40)
+def _alias_population(s=40):
+    w = np.linspace(1.0, 3.0, s)
     return FinitePopulation(w / w.sum())
 
 
-#: kind -> (source, n, reps, seed, digest of the means and standard errors);
-#: the Gibbs sizes span several passes, the population sizes several blocks
+#: kind -> (source, n, reps, seed, l_max, digest of the means and standard
+#: errors); every size spans several passes.  Only ``population-wide`` has
+#: more species than draws
 TABLES = {
     "pitman-yor": (
-        lambda: PitmanYor(0.5, 1.0), 1000, 1000, 4,
+        lambda: PitmanYor(0.5, 1.0), 1000, 1000, 4, 20,
         "e8beba82f3b1c571ad7ec2ca9c91d2de2705ceb933205b958113a34a08672e64",
     ),
     "negative-alpha": (
-        lambda: PitmanYor(-0.5, s=50), 300, 1200, 6,
+        lambda: PitmanYor(-0.5, s=50), 300, 1200, 6, 20,
         "3009f8bf0327c213a3a55df8b947baff0af4abb8a7f93abe17fead44c0896fac",
     ),
     "tabular": (
-        lambda: TabularGibbsModel.from_bottom_row(0.3, np.linspace(0.5, 2.0, 100)), 100, 6000, 9,
+        lambda: TabularGibbsModel.from_bottom_row(0.3, np.linspace(0.5, 2.0, 100)), 100, 6000, 9, 20,
         "6c229e5bae4ca23e6c692f7bb023ae533d85d1b2b3fd64f25cfbf58ae741079d",
     ),
     "population-scan": (
-        lambda: FinitePopulation([0.4, 0.3, 0.2, 0.1]), 50, 2000, 10,
+        lambda: FinitePopulation([0.4, 0.3, 0.2, 0.1]), 50, 2000, 10, 20,
         "bd7ceb87334ae10a57c04c8d5fa1f7d1a1cddb68316972d57c7478ffdc56c45a",
     ),
     "population-alias": (
-        _alias_population, 60, 3000, 11,
+        _alias_population, 60, 3000, 11, 20,
         "918d493582c09bc9d70de79547e8b70593b7a7416475b6ddf589947cd4119a5a",
+    ),
+    "population-wide": (
+        lambda: _alias_population(1000), 50, 3000, 13, 50,
+        "046f4f4395b0d7b33182cb3b062006caa9e8ab08274451363adaf02fa693be6d",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(TABLES))
 def test_moment_table_digest(kind):
-    make, n, reps, seed, want = TABLES[kind]
-    table = monte_carlo_moments(make(), n, reps, seed, l_max=min(n, 20))
+    make, n, reps, seed, l_max, want = TABLES[kind]
+    table = monte_carlo_moments(make(), n, reps, seed, l_max=l_max)
     assert _digest(table.means, table.ses) == want
