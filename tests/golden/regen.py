@@ -8,11 +8,17 @@ compares.  ``{golden}`` in an argv stands for this directory.
     PYTHONPATH=src python tests/golden/regen.py
 
 rewrites every ``.out`` file and the exit statuses from the current code.
-A change that moves any byte says which cases moved, and why.
+A change that moves any byte says which cases moved, and why;
+
+    PYTHONPATH=src python tests/golden/regen.py --check
+
+writes nothing, prints the name of each case whose argv, stdout bytes or
+exit status would move, one a line, and exits 1 if any would.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -108,15 +114,39 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def main() -> int:
-    cases = {}
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the report corpus from the current code.")
+    parser.add_argument("--check", action="store_true", help="write nothing; list the cases that would move")
+    check = parser.parse_args(args).check
+    cases, outputs = {}, {}
     for name, argv in ARGV.items():
         code, stdout = run_case(argv)
-        (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8", newline="")
         cases[name] = {"argv": argv, "exit": code}
+        outputs[name] = stdout.encode("utf-8")
+    if check:
+        moved = _moved(cases, outputs)
+        for name in moved:
+            print(name)
+        print(f"{len(moved)} of {len(cases)} cases moved", file=sys.stderr)
+        return 1 if moved else 0
+    for name, stdout in outputs.items():
+        (GOLDEN / f"{name}.out").write_bytes(stdout)
     CASES.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(cases)} cases to {GOLDEN}")
     return 0
+
+
+def _moved(cases: dict, outputs: dict[str, bytes]) -> list[str]:
+    """Names, sorted, of the cases that are new, gone, or differ from the
+    stored corpus in argv, exit status or stdout bytes."""
+    stored = json.loads(CASES.read_text(encoding="utf-8")) if CASES.exists() else {}
+
+    def stored_bytes(name):
+        path = GOLDEN / f"{name}.out"
+        return path.read_bytes() if path.exists() else None
+
+    names = sorted(stored.keys() | cases.keys())
+    return [n for n in names if stored.get(n) != cases.get(n) or stored_bytes(n) != outputs.get(n)]
 
 
 if __name__ == "__main__":
