@@ -17,18 +17,23 @@ is by construction:
   ``sample_population(pop, n, seed)``, which run the same code on a block
   of one row.
 
-Passes fix only how the work is batched.  The urn takes one step for every
-row of a pass at once, and a pass is as many consecutive stream blocks as
-fit in :data:`URN_PASS` elements: each block's uniforms are written into
-its own rows of the pass, so the replicates read the same uniforms as
-block by block.  At large n a block holds few rows and numpy's per-call
-cost dominates a step, so the fewer, longer steps of a pass are faster.
-A population draw is a few array operations per block, and runs block by
-block.
+Passes fix only how the work is batched.  A pass is as many consecutive
+stream blocks as fit in :data:`URN_PASS` elements (:data:`POPULATION_PASS`
+for a population): each block's uniforms are written into its own rows of
+the pass, so the replicates read the same uniforms as block by block.  The
+urn takes one step for every row of a pass at once; at large n a block
+holds few rows and numpy's per-call cost dominates a step, so the fewer,
+longer steps of a pass are faster.  A population pass is drawn and counted
+at once.  Its blocks hold few rows when s is large (16 at s = 1000,
+whatever n is), so with more species than draws each row's draws are
+sorted and their runs counted, and no array is s wide; with s <= n a
+row-wise histogram counts them, as for the urn.
 
-Memory stays bounded whatever ``reps`` is: a pass holds 12 bytes per
+Memory stays bounded whatever ``reps`` is: an urn pass holds 12 bytes per
 element (float64 uniforms and int32 labels), the uniforms are freed before
-counting, and the statistics are taken one stream block at a time.
+counting, and the urn's statistics are taken one stream block at a time.
+A population pass is smaller, as its draw and count make several
+temporaries of its size.
 """
 
 from __future__ import annotations
@@ -63,8 +68,14 @@ URN_BLOCK = 1 << 16
 #: consecutive stream blocks as fit.  Not part of the layout; a pass holds
 #: 12 bytes per element (float64 uniforms, int32 labels), so 3 MiB
 URN_PASS = 1 << 18
-#: elements (rows x max(n, s)) per population block; a draw makes several
-#: temporaries of the block's size, so these blocks are smaller
+#: elements (rows x n) per population pass: a population is drawn and
+#: counted once per run of consecutive stream blocks that fits.  Not part
+#: of the layout; the draw and the count make several temporaries of the
+#: pass's size, so it is smaller than an urn pass
+POPULATION_PASS = 1 << 15
+#: elements (rows x max(n, s)) per population stream block: block b draws
+#: ``POPULATION_BLOCK // max(n, s)`` rows from stream b.  Only the stream
+#: layout reads it, so changing it changes every population table
 POPULATION_BLOCK = 1 << 14
 #: flag threshold for a table statistic's z (:meth:`MomentTable.z`) against its analytic value
 SE_GATE = 4.0
@@ -216,21 +227,23 @@ class CategoricalSampler:
         self.s = p.size
         self.use_alias = self.s > ALIAS_THRESHOLD
         if self.use_alias:
-            self._accept, self._alias = _build_alias(p)
+            self._accept, alias = _build_alias(p)
+            self._jump = alias - np.arange(self.s)  # from each cell to its alias
         else:
             self._cum = np.cumsum(p)
             self._cum[-1] = 1.0
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Species indices of shape ``size`` (an int or a tuple)."""
-        u = rng.random(size)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The species index each uniform in ``u`` (in [0, 1)) maps to, in
+        an array of ``u``'s shape; ``u`` is left as it is."""
         if not self.use_alias:
             return np.searchsorted(self._cum, u, side="right")
         u = u * self.s
         idx = u.astype(np.intp)
         np.minimum(idx, self.s - 1, out=idx)
         u -= idx  # the fractional part picks the cell or its alias
-        return np.where(u >= self._accept[idx], self._alias[idx], idx)
+        idx += self._jump[idx] * (u >= self._accept[idx])  # no branch per draw
+        return idx
 
 
 def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +267,7 @@ def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_population(pop: FinitePopulation, n: int, seed: int) -> SampleSummary:
     """n independent draws from the fixed frequencies, summarized."""
     n, seed = _check_run(pop, (FinitePopulation,), n, seed)
-    draws = CategoricalSampler(pop.probs).draw(_stream(seed, 0), (1, n))[0]
+    draws = CategoricalSampler(pop.probs).draw(_stream(seed, 0).random((1, n)))[0]
     _, first, counts = np.unique(draws, return_index=True, return_counts=True)
     return _summarize(counts[np.argsort(first, kind="stable")].tolist())
 
@@ -340,35 +353,67 @@ def monte_carlo_moments(
 
 
 def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
-    """Yield one (rows, 1 + l_max) int64 array per stream block: K, C_1 ..
-    C_lmax of each replicate, in replicate order.  The caller checks the
-    arguments."""
+    """Yield (rows, 1 + l_max) int64 arrays of K, C_1 .. C_lmax per
+    replicate, in replicate order: one per urn stream block, one per
+    population pass.  The caller checks the arguments."""
     if isinstance(source, FinitePopulation):
         sampler = CategoricalSampler(source.probs)
         rows = max(1, POPULATION_BLOCK // max(n, sampler.s))
-        for b, lo in enumerate(range(0, reps, rows)):
-            draws = sampler.draw(_stream(seed, b), (min(rows, reps - lo), n))
-            yield _block_stats(_offset_bincount(draws, sampler.s), n, l_max)
+        for draws, _ in _passes(seed, reps, rows, POPULATION_PASS // (rows * n), n, sampler.draw):
+            yield _stats(draws, sampler.s, l_max)
+            del draws  # free the pass's draws before the next pass is drawn
         return
     urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
     rows = max(1, URN_BLOCK // n)
+    for labels, bounds in _passes(seed, reps, rows, URN_PASS // (rows * n), n - 1, lambda u: urn(source, u)):
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield _stats(labels[lo:hi], n, l_max)
+        del labels  # and the urn's labels
+
+
+def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
+    """Yield ``draw(u)`` and the row bounds of u's stream blocks, pass by pass.
+
+    A pass is ``per_pass`` (at least 1) consecutive stream blocks of
+    ``rows`` rows, the last cut short at ``reps``.  u is a (rows in the
+    pass, width) array; block b writes its own rows from stream (seed, b),
+    which gives the doubles of ``random((rows, width))``.  u is freed
+    before the caller counts, and ``draw(u)`` once the caller drops it."""
     sizes = [min(rows, reps - lo) for lo in range(0, reps, rows)]
-    per_pass = max(1, URN_PASS // (rows * n))
+    per_pass = max(1, per_pass)
     for first in range(0, len(sizes), per_pass):
         bounds = list(itertools.accumulate(sizes[first : first + per_pass], initial=0))
-        uniforms = np.empty((bounds[-1], n - 1))
+        uniforms = np.empty((bounds[-1], width))
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
-            _stream(seed, b).random(out=uniforms[lo:hi])  # the doubles of random((hi - lo, n - 1))
-        labels = urn(source, uniforms)
-        del uniforms  # free the pass's uniforms before counting
-        for lo, hi in zip(bounds, bounds[1:]):
-            yield _block_stats(_offset_bincount(labels[lo:hi], n), n, l_max)
-        del labels  # and its labels before the next pass is drawn
+            _stream(seed, b).random(out=uniforms[lo:hi])
+        drawn = draw(uniforms)
+        del uniforms
+        yield drawn, bounds
+        del drawn
 
 
-def _block_stats(counts: np.ndarray, n: int, l_max: int) -> np.ndarray:
-    """K, C_1 .. C_lmax per row of species multiplicities."""
-    stats = np.empty((counts.shape[0], 1 + l_max), dtype=np.int64)
-    stats[:, 0] = np.count_nonzero(counts, axis=1)
-    stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
+def _stats(labels: np.ndarray, s: int, l_max: int) -> np.ndarray:
+    """K, C_1 .. C_lmax of each row of ``labels``, species labels in [0, s).
+
+    With s <= n (the row length) a row-wise histogram of width s counts the
+    species.  With more species than draws, each row is sorted and its
+    runs are counted, so no array is s wide.  Both give the same integers.
+    """
+    rows, n = labels.shape
+    stats = np.empty((rows, 1 + l_max), dtype=np.int64)
+    if s <= n:
+        counts = _offset_bincount(labels, s)
+        stats[:, 0] = np.count_nonzero(counts, axis=1)
+        stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
+        return stats
+    ordered = np.sort(labels, axis=1)
+    first = np.empty(ordered.shape, dtype=bool)  # where each run of equal labels starts
+    first[:, 0] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    del ordered
+    stats[:, 0] = np.count_nonzero(first, axis=1)
+    starts = np.flatnonzero(first)  # a row's first run starts the row, so no run spans two rows
+    lengths = np.diff(starts, append=rows * n)
+    tally = np.bincount(starts // n * (n + 1) + lengths, minlength=rows * (n + 1))
+    stats[:, 1:] = tally.reshape(rows, n + 1)[:, 1 : l_max + 1]
     return stats

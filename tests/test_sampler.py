@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goodturing.empirical import FinitePopulation
 from goodturing.gibbs import GibbsModel, TabularGibbsModel
@@ -12,6 +14,7 @@ from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
     POPULATION_BLOCK,
+    POPULATION_PASS,
     URN_BLOCK,
     URN_PASS,
     CategoricalSampler,
@@ -20,6 +23,7 @@ from goodturing.sampler import (
     sample_gibbs,
     sample_population,
     _replicate_blocks,
+    _stats,
     _urn_generic,
     _urn_pitman_yor,
 )
@@ -28,17 +32,6 @@ from goodturing.sampler import (
 def _replicate_stats(source, n, reps, seed, l_max):
     """(reps, 1 + l_max) array: K, C_1 .. C_lmax of every replicate."""
     return np.concatenate(list(_replicate_blocks(source, n, reps, seed, l_max)))
-
-
-class FakeRng:
-    """Hands out a fixed block of uniforms, for pinning draw mappings."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, size):
-        assert size == self.values.size
-        return self.values
 
 
 @pytest.fixture
@@ -111,7 +104,7 @@ class TestCategoricalSampler:
     def test_scan_mapping_pinned(self):
         sampler = CategoricalSampler(np.array([0.5, 0.3, 0.2]))
         assert not sampler.use_alias
-        got = sampler.draw(FakeRng([0.1, 0.49, 0.5, 0.79, 0.8, 0.999]), 6)
+        got = sampler.draw(np.array([0.1, 0.49, 0.5, 0.79, 0.8, 0.999]))
         np.testing.assert_array_equal(got, [0, 0, 1, 1, 2, 2])
 
     def test_alias_engaged_above_threshold(self):
@@ -125,8 +118,9 @@ class TestCategoricalSampler:
         s = 64
         sampler = CategoricalSampler(np.full(s, 1.0 / s))
         u = np.array([0.0, 0.5, 0.25 + 1e-9, 0.999999])
-        got = sampler.draw(FakeRng(u), 4)
+        got = sampler.draw(u)
         np.testing.assert_array_equal(got, np.floor(u * s).astype(int))
+        np.testing.assert_array_equal(u, [0.0, 0.5, 0.25 + 1e-9, 0.999999])  # the uniforms are left as they were
 
     def test_alias_matches_target_distribution(self):
         rng = np.random.default_rng(11)
@@ -134,7 +128,7 @@ class TestCategoricalSampler:
         p /= p.sum()
         sampler = CategoricalSampler(p)
         assert sampler.use_alias
-        draws = sampler.draw(np.random.default_rng(99), 200_000)
+        draws = sampler.draw(np.random.default_rng(99).random(200_000))
         assert draws.min() >= 0 and draws.max() < 50
         freq = np.bincount(draws, minlength=50) / 200_000
         tol = 5 * np.sqrt(p * (1 - p) / 200_000)
@@ -142,7 +136,7 @@ class TestCategoricalSampler:
 
     def test_scan_matches_target_distribution(self):
         p = np.array([0.6, 0.25, 0.1, 0.05])
-        draws = CategoricalSampler(p).draw(np.random.default_rng(5), 200_000)
+        draws = CategoricalSampler(p).draw(np.random.default_rng(5).random(200_000))
         freq = np.bincount(draws, minlength=4) / 200_000
         tol = 5 * np.sqrt(p * (1 - p) / 200_000)
         assert np.all(np.abs(freq - p) <= tol)
@@ -166,7 +160,7 @@ class TestInputChecks:
         p[1:] = 1.0 / (s - 1)
         sampler = CategoricalSampler(p)
         assert sampler.s == s
-        assert 0 not in sampler.draw(np.random.default_rng(3), 5000)
+        assert 0 not in sampler.draw(np.random.default_rng(3).random(5000))
 
     @pytest.mark.parametrize(
         "bad", [{"n": 5.5}, {"n": 0}, {"n": math.nan}, {"seed": 1.5}, {"seed": -1}, {"seed": math.inf}]
@@ -215,7 +209,7 @@ class TestSamplePopulation:
         # reference implementation: tally draws with a dict, which preserves
         # insertion (= first appearance) order
         seed, n = 21, 80
-        draws = CategoricalSampler(pop.probs).draw(np.random.default_rng((seed, 0)), n)
+        draws = CategoricalSampler(pop.probs).draw(np.random.default_rng((seed, 0)).random(n))
         order: dict[int, int] = {}
         for d in draws.tolist():
             order[d] = order.get(d, 0) + 1
@@ -365,6 +359,70 @@ def test_passes_read_each_blocks_own_stream(n, reps):
     np.testing.assert_array_equal(_replicate_stats(model, n, reps, seed, n), want)
 
 
+def _linspace_population(s):
+    w = np.linspace(1.0, 3.0, s)
+    return FinitePopulation(w / w.sum())
+
+
+@pytest.mark.parametrize(
+    "s, n, reps",
+    [(1000, 50, 1500), (3, 20, 5000), (40, 60, 1700)],
+    ids=["sorted-runs", "scan-histogram", "alias-histogram"],
+)
+def test_population_passes_read_each_blocks_own_stream(s, n, reps):
+    # the reference draws a population block by block, each block on its
+    # own random((rows, n)), and counts each row with np.bincount; every
+    # size spans three passes
+    pop, seed = _linspace_population(s), 14
+    sampler = CategoricalSampler(pop.probs)
+    rows = POPULATION_BLOCK // max(n, s)
+    assert reps > 2 * (POPULATION_PASS // (rows * n)) * rows
+    want = []
+    for b, lo in enumerate(range(0, reps, rows)):
+        u = np.random.default_rng((seed, b)).random((min(rows, reps - lo), n))
+        for draws in sampler.draw(u):
+            counts = np.bincount(draws)
+            want.append([np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1:]])
+    np.testing.assert_array_equal(_replicate_stats(pop, n, reps, seed, n), want)
+
+
+@st.composite
+def label_rows(draw):
+    """A (rows, n) int array of species labels in [0, n), and 1 <= l_max <= n:
+    rows of any labels, rows of one species each, or rows of n distinct ones."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["any", "one species", "all distinct"]))
+    if shape == "one species":
+        species = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
+        labels = np.repeat(np.array(species)[:, None], n, axis=1)
+    elif shape == "all distinct":
+        labels = np.array([draw(st.permutations(range(n))) for _ in range(rows)])
+    else:
+        k = draw(st.integers(1, n))
+        row = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+        labels = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    return labels.astype(np.intp), draw(st.integers(1, n))
+
+
+@given(case=label_rows())
+@example(case=(np.zeros((2, 7), dtype=np.intp), 3))
+@example(case=(np.tile(np.arange(7), (2, 1)), 7))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sorted_runs_and_histogram_count_alike(case):
+    # s = n takes the row-wise histogram, s > n sorts each row and counts
+    # its runs; spreading the labels over a wide range changes nothing
+    labels, l_max = case
+    rows, n = labels.shape
+    kept = labels.copy()
+    histogram = _stats(labels, n, l_max)
+    np.testing.assert_array_equal(_stats(labels, n + 1, l_max), histogram)
+    np.testing.assert_array_equal(_stats(997 * labels + 3, 997 * n, l_max), histogram)
+    np.testing.assert_array_equal(labels, kept)
+    for row, got in zip(labels, histogram):
+        counts = np.bincount(row)
+        assert got.tolist() == [np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1 : l_max + 1]]
+
+
 class _StoredRows(GibbsModel):
     """A model's log weight rows, stored: a plain Gibbs model, so the sampler
     takes its generic urn, at sizes no weight table reaches."""
@@ -377,18 +435,36 @@ class _StoredRows(GibbsModel):
         return self._rows[n - 1][:kmax]
 
 
-@pytest.mark.parametrize("urn", ["pitman-yor", "generic"])
-def test_memory_is_one_pass(urn):
-    # a pass holds 12 bytes per element (float64 uniforms, int32 labels);
-    # beside it lives one block of statistics (rows x (1 + n) int64, as
-    # l_max = n), and half a block more covers the per-step arrays
+#: source kind -> (n, reps) of a run that spans several passes
+MEMORY_RUNS = {
+    "pitman-yor": (1000, 4000),
+    "generic": (1000, 4000),
+    "population-wide": (50, 20_000),
+    "population-square": (1000, 20_000),
+}
+
+
+@pytest.mark.parametrize("kind", list(MEMORY_RUNS))
+def test_memory_is_one_pass(kind):
+    # an urn pass holds 12 bytes per element (float64 uniforms, int32
+    # labels); beside it lives one block of statistics (rows x (1 + n)
+    # int64, as l_max = n), and half a block more covers the per-step
+    # arrays.  A population pass is an eighth of an urn pass, and its draw
+    # and count (by sorted runs at s = 1000 > n = 50, by histogram at
+    # s = n = 1000) stay inside the same budget
+    n, reps = MEMORY_RUNS[kind]
     model = PitmanYor(0.5, 1.0)
-    source = model if urn == "pitman-yor" else _StoredRows(model, 1000)
+    source = {
+        "pitman-yor": lambda: model,
+        "generic": lambda: _StoredRows(model, 1000),
+        "population-wide": lambda: _linspace_population(1000),
+        "population-square": lambda: _linspace_population(1000),
+    }[kind]()
     assert URN_PASS <= 1 << 18  # 3 MiB of pass arrays
-    monte_carlo_moments(source, 1000, 100, 1)  # first-call set-up
+    monte_carlo_moments(source, n, 100, 1)  # first-call set-up
     tracemalloc.start()
     try:
-        monte_carlo_moments(source, 1000, 4000, 1)
+        monte_carlo_moments(source, n, reps, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
