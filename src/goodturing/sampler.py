@@ -24,10 +24,10 @@ the pass, so the replicates read the same uniforms as block by block.  The
 urn takes one step for every row of a pass at once; at large n a block
 holds few rows and numpy's per-call cost dominates a step, so the fewer,
 longer steps of a pass are faster.  A population pass is drawn and counted
-at once.  Its blocks hold few rows when s is large (16 at s = 1000,
-whatever n is), so with more species than draws each row's draws are
-sorted and their runs counted, and no array is s wide; with s <= n a
-row-wise histogram counts them, as for the urn.
+at once, as its blocks hold few rows when s is large (16 at s = 1000 and
+any n <= 1000).  With more species than draws each row's draws are sorted
+and their runs counted, so no array is s wide; with s <= n a row-wise
+histogram counts them, as for the urn.
 
 Memory stays bounded whatever ``reps`` is: an urn pass holds 12 bytes per
 element (float64 uniforms and int32 labels), the uniforms are freed before
@@ -368,7 +368,7 @@ def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
     for labels, bounds in _passes(seed, reps, rows, URN_PASS // (rows * n), n - 1, lambda u: urn(source, u)):
         for lo, hi in zip(bounds, bounds[1:]):
             yield _stats(labels[lo:hi], n, l_max)
-        del labels  # and the urn's labels
+        del labels  # likewise, before the next pass is drawn
 
 
 def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
