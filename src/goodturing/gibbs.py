@@ -16,10 +16,13 @@ species known only to have appeared l times in a sample of size n.
 All sums over the block count k run through one row of the generalized
 Stirling triangle, served by the model's :class:`~goodturing.specfun.StirlingRows`
 cache, and are evaluated in log space; every term is nonnegative, so no
-cancellation occurs.  A subclass with closed forms may override the
-public moment and estimator methods (:class:`~goodturing.pitman_yor.PitmanYor`
-does); ``GibbsModel.<method>(model, ...)`` still runs the Stirling sums
-on it, which is how the checks compare the two routes.
+cancellation occurs.  The estimator row at size n exponentiates each
+Stirling row once, max-shifted, for both of its sums: the two weight rows
+differ only by the ratios V(n+1, k)/V(n, k).  A subclass with closed
+forms may override the public moment and estimator methods
+(:class:`~goodturing.pitman_yor.PitmanYor` does);
+``GibbsModel.<method>(model, ...)`` still runs the Stirling sums on it,
+which is how the checks compare the two routes.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ _RECURSION_RTOL = 1e-8
 
 #: Stirling rows per block in exact_good_turing_row
 _ROW_BLOCK = 128
+
+#: exact_good_turing_row redoes a row whose shared-pass numerator is below
+#: this times the block width: above it, the terms that underflowed (each
+#: below the smallest normal float) move the numerator by under one rounding
+_NUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def impossible_count(l: int, n: int) -> ValueError:
@@ -239,24 +247,57 @@ class GibbsModel:
         Same sums as :meth:`exact_good_turing`, batched across l so the
         Stirling rows are visited once; positions whose count has zero
         probability come back as nan instead of raising.
+
+        Row m = n - l of a block holds log V(n, k) S(m, k-1).  Shifted by its
+        max and exponentiated once, it gives the denominator as its sum and
+        the numerator as its dot product with the weight ratios
+        V(n+1, k)/V(n, k), scaled by their max.  A row whose numerator that
+        pass cannot give to full precision (the ratios span more than about
+        670 in log), or that meets a k with V(n, k) = 0 < V(n+1, k), is
+        redone as two log-sums.
         """
         self._check_size(n)
         self._check_size(n + 1)
         lw_n = self.log_weight_row(n, n)
         lw_next = self.log_weight_row(n + 1, n + 1)[:n]
-        num, den = np.empty(n), np.empty(n)
-        for lo in range(0, n, _ROW_BLOCK):  # blocks of rows bound the scratch memory
+        log_ratio = np.full(n, _NEG_INF)
+        np.subtract(lw_next, lw_n, out=log_ratio, where=lw_n > _NEG_INF)
+        shift = log_ratio.max()  # finite: V(n, 1) and V(n+1, 1) are positive
+        ratio = np.exp(log_ratio - shift)
+        lost = np.flatnonzero((lw_n == _NEG_INF) & (lw_next > _NEG_INF))
+        first_lost = lost[0] if lost.size else n  # row m meets k = 1..m+1
+        log_q = np.empty(n)  # log num/den, at index m = n - l
+        scratch = np.empty((min(_ROW_BLOCK, n), n))  # blocks of rows bound the scratch memory
+        for lo in range(0, n, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, n)
-            m_rows = np.full((hi - lo, hi), _NEG_INF)  # row m - lo holds log S(m, k-1), k = 1..hi
+            block = scratch[: hi - lo, :hi]
+            block[:, lo + 1 :] = _NEG_INF  # row m - lo fills columns 0..m, m >= lo
             for m in range(lo, hi):
-                m_rows[m - lo, : m + 1] = self.stirling_rows.log_row(m)
-            num[lo:hi] = _row_logsumexp(m_rows + lw_next[:hi])
-            den[lo:hi] = _row_logsumexp(m_rows + lw_n[:hi])
+                np.add(self.stirling_rows.log_row(m), lw_n[: m + 1], out=block[m - lo, : m + 1])
+            top = block.max(axis=1)
+            top[top == _NEG_INF] = 0.0  # an all-zero row: its numerator is 0, so it is redone
+            block -= top[:, None]
+            np.exp(block, out=block)
+            num, den = block @ ratio[:hi], block.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # rows redone below
+                log_q[lo:hi] = np.log(num / den) + shift
+            redo = np.flatnonzero(~(num >= hi * _NUM_FLOOR) | (np.arange(lo, hi) >= first_lost))
+            if redo.size:
+                log_q[lo + redo] = self._log_ratio_by_two_sums(lo + redo, hi, lw_n, lw_next)
         ls = np.arange(n, 0, -1, dtype=float)  # l = n - m
-        with np.errstate(invalid="ignore"):
-            out = ls - self.alpha
-            out *= np.exp(num - den)  # -inf - -inf -> nan marks impossible counts
+        out = ls - self.alpha
+        out *= np.exp(log_q)
         return out[::-1].copy()
+
+    def _log_ratio_by_two_sums(self, ms, width, lw_n, lw_next) -> np.ndarray:
+        """log sum_k V(n+1, k) S(m, k-1) - log sum_k V(n, k) S(m, k-1) for
+        each row m in ``ms``, each sum a log-sum of its own over ``width``
+        columns; nan where both sums are empty."""
+        rows = np.full((len(ms), width), _NEG_INF)
+        for i, m in enumerate(ms):
+            rows[i, : m + 1] = self.stirling_rows.log_row(m)
+        with np.errstate(invalid="ignore"):  # -inf - -inf -> nan marks impossible counts
+            return _row_logsumexp(rows + lw_next[:width]) - _row_logsumexp(rows + lw_n[:width])
 
     # -- internals -------------------------------------------------------
 

@@ -1,10 +1,12 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from goodturing import gibbs
 from goodturing.gibbs import Composition, GibbsModel, TabularGibbsModel
 from goodturing.pitman_yor import PitmanYor
 from goodturing.specfun import CHECKPOINT_STRIDE, DENSE_ROWS, iter_stirling_log_rows
@@ -237,6 +239,130 @@ def test_exact_good_turing_row_marks_impossible_counts():
     row = m.exact_good_turing_row(4)
     assert np.isnan(row[:3]).all()
     assert row[3] == pytest.approx(1.0, rel=1e-12)
+
+
+def _two_log_sums_logsumexp(x):
+    mx = x.max(axis=1)
+    out = np.full(x.shape[0], -np.inf)
+    finite = np.isfinite(mx)
+    if finite.any():
+        z = np.exp(x[finite] - mx[finite, None])
+        out[finite] = mx[finite] + np.log(z.sum(axis=1))
+    return out
+
+
+def _two_log_sums_row(model, n, block=128):
+    """The estimator row as two log-sums per row, numerator and denominator
+    apart: the reference for the row's one shared exp pass."""
+    lw_n = model.log_weight_row(n, n)
+    lw_next = model.log_weight_row(n + 1, n + 1)[:n]
+    num, den = np.empty(n), np.empty(n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        m_rows = np.full((hi - lo, hi), -np.inf)
+        for m in range(lo, hi):
+            m_rows[m - lo, : m + 1] = model.stirling_rows.log_row(m)
+        num[lo:hi] = _two_log_sums_logsumexp(m_rows + lw_next[:hi])
+        den[lo:hi] = _two_log_sums_logsumexp(m_rows + lw_n[:hi])
+    with np.errstate(invalid="ignore"):
+        out = np.arange(n, 0, -1, dtype=float) - model.alpha
+        out *= np.exp(num - den)
+    return out[::-1]
+
+
+def _assert_rows_agree(got, want, rtol=1e-12):
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    known = ~np.isnan(want)
+    np.testing.assert_allclose(got[known], want[known], rtol=rtol, atol=0)
+
+
+_ROW_SIZES = (1, 2, 40, 127, 128, 129, 1024, 1025, 1100)  # block and DENSE_ROWS edges
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PitmanYor(0.0, 1.0),
+        PitmanYor(0.3, 1.0),
+        PitmanYor(0.9, 0.5),
+        PitmanYor(0.5, -0.25),
+        PitmanYor(-0.5, s=1),
+        PitmanYor(-0.5, s=2),
+        PitmanYor(-1.0, s=300),
+        TabularGibbsModel.from_bottom_row(0.4, np.random.default_rng(3).uniform(0.5, 2.0, 160)),
+        TabularGibbsModel.from_bottom_row(-0.3, np.random.default_rng(4).uniform(0.5, 2.0, 130)),
+    ],
+    ids=lambda m: repr(m) if isinstance(m, PitmanYor) else f"tabular(alpha={m.alpha}, N={m.max_size})",
+)
+def test_exact_good_turing_row_matches_two_log_sums(model):
+    for n in _ROW_SIZES:
+        if model.max_size is None or n < model.max_size:
+            _assert_rows_agree(GibbsModel.exact_good_turing_row(model, n), _two_log_sums_row(model, n))
+
+
+def test_pitman_yor_row_matches_closed_form_at_2000():
+    for model in (PitmanYor(0.3, 1.0), PitmanYor(0.75, -0.5), PitmanYor(-1.0, s=300)):
+        n = 2000
+        closed = (np.arange(1, n + 1) - model.alpha) / (model.theta + n)
+        np.testing.assert_allclose(GibbsModel.exact_good_turing_row(model, n), closed, rtol=1e-10, atol=0)
+
+
+class _SteepRatios(GibbsModel):
+    """Not a Gibbs model: log V(size, k) = tilt (k-1), and each weight at
+    size + 1 is that times exp(690 - slope (k-1)), so the ratios
+    V(size+1, k)/V(size, k) span slope (size-1) in log.  Rows whose mass sits
+    at large k have a shared-pass numerator below the normal floats."""
+
+    def __init__(self, alpha, size, tilt, slope):
+        super().__init__(alpha)
+        self.size, self.tilt, self.slope = size, tilt, slope
+
+    def log_weight_row(self, n, kmax):
+        self._check_row(n, kmax)
+        k = np.arange(kmax, dtype=float)
+        return self.tilt * k + (690.0 - self.slope * k if n > self.size else 0.0)
+
+
+class _VanishingWeights(GibbsModel):
+    """Not a Gibbs model: V(size, k) = 0 for k > 5 while V(size+1, k) > 0,
+    a numerator term the shared pass cannot see."""
+
+    def __init__(self, alpha, size):
+        super().__init__(alpha)
+        self.size = size
+
+    def log_weight_row(self, n, kmax):
+        self._check_row(n, kmax)
+        row = -np.arange(kmax, dtype=float)
+        if n == self.size:
+            row[5:] = -np.inf
+        return row
+
+
+#: a table the library accepts whose weight ratios at n = 11 span 689 in log
+_EXTREME_TABLE = TabularGibbsModel.from_bottom_row(0.5, np.resize([1e-150, 1e150], 12))
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (_SteepRatios(-1.0, 300, 10.0, 6.0), 300),
+        (_SteepRatios(0.5, 300, 10.0, 6.0), 300),
+        (_VanishingWeights(0.5, 40), 40),
+        (_EXTREME_TABLE, 11),
+    ],
+    ids=["steep-alpha-neg", "steep-alpha-half", "vanishing", "extreme-table"],
+)
+def test_exact_good_turing_row_redoes_rows_the_shared_pass_cannot_give(model, n, monkeypatch):
+    redone = []
+    two_sums = gibbs._row_logsumexp
+    monkeypatch.setattr(gibbs, "_row_logsumexp", lambda x: redone.append(len(x)) or two_sums(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = GibbsModel.exact_good_turing_row(model, n)
+    assert 0 < sum(redone) // 2 < n  # some rows redone, some not
+    monkeypatch.undo()
+    _assert_rows_agree(got, _two_log_sums_row(model, n))
 
 
 def test_max_size_enforced():
