@@ -359,7 +359,9 @@ class TabularGibbsModel(GibbsModel):
         for n in range(1, len(table)):
             lhs, v_next = table[n - 1], table[n]
             rhs = (n - np.arange(1, n + 1) * self.alpha) * v_next[:-1] + v_next[1:]
-            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+            # two zeros pass (0 > 0 is false); a zero against any positive
+            # weight, however small, fails
+            scale = np.maximum(np.abs(lhs), np.abs(rhs))
             bad = np.flatnonzero(np.abs(lhs - rhs) > _RECURSION_RTOL * scale)
             if bad.size:
                 k = int(bad[0]) + 1

@@ -18,22 +18,28 @@ is by construction:
   of one row.
 
 Passes fix only how the work is batched.  A pass is as many consecutive
-stream blocks as fit in :data:`URN_PASS` elements (:data:`POPULATION_PASS`
-for a population): each block's uniforms are written into its own rows of
-the pass, so the replicates read the same uniforms as block by block.  The
-urn takes one step for every row of a pass at once; at large n a block
-holds few rows and numpy's per-call cost dominates a step, so the fewer,
-longer steps of a pass are faster.  A population pass is drawn and counted
-at once, as its blocks hold few rows when s is large (16 at s = 1000 and
-any n <= 1000).  With more species than draws each row's draws are sorted
-and their runs counted, so no array is s wide; with s <= n a row-wise
-histogram counts them, as for the urn.
+stream blocks as fit in :data:`URN_PASS` elements and, for the urn,
+:data:`URN_PASS_ROWS` rows (:data:`POPULATION_PASS` elements for a
+population): each block's uniforms are written into its own rows of the
+pass, so the replicates read the same uniforms as block by block.  The urn
+takes one step for every row of a pass at once; at large n a block holds
+few rows and numpy's per-call cost dominates a step, so the fewer, longer
+steps of a pass are faster.  The urn writes each draw's label over a
+uniform it has already read, so a pass holds its labels in its own 8 bytes
+per element.  Its statistics are taken one stream block at a time: rows of
+up to :data:`SHORT_ROW` labels are counted by a row-wise histogram, longer
+ones are sorted and their runs counted.  A population pass is drawn and
+counted at once, as its blocks hold few rows when s is large (16 at
+s = 1000 and any n <= 1000).  With more species than draws each row's
+int32 draws are sorted and their runs counted, so no array is s wide; with
+s <= n a row-wise histogram counts them.
 
-Memory stays bounded whatever ``reps`` is: an urn pass holds 12 bytes per
-element (float64 uniforms and int32 labels), the uniforms are freed before
-counting, and the urn's statistics are taken one stream block at a time.
-A population pass is smaller, as its draw and count make several
-temporaries of its size.
+Memory stays bounded whatever ``reps`` is: an urn pass holds 8 bytes per
+element (float64 uniforms, the int32 labels written over them), and
+beside it live one block's statistics and counting temporaries.  A
+population pass is smaller, as its draw and count make several
+temporaries of its size.  A population's alias table is built once and
+kept on the population.
 """
 
 from __future__ import annotations
@@ -66,8 +72,9 @@ ALIAS_THRESHOLD = 32
 URN_BLOCK = 1 << 16
 #: elements (rows x n) per urn pass: the urn runs once over as many
 #: consecutive stream blocks as fit.  Not part of the layout; a pass holds
-#: 12 bytes per element (float64 uniforms, int32 labels), so 3 MiB
-URN_PASS = 1 << 18
+#: 8 bytes per element (float64 uniforms, the labels written over them),
+#: so 3 MiB
+URN_PASS = 3 << 17
 #: elements (rows x n) per population pass: a population is drawn and
 #: counted once per run of consecutive stream blocks that fits.  Not part
 #: of the layout; the draw and the count make several temporaries of the
@@ -77,6 +84,15 @@ POPULATION_PASS = 1 << 15
 #: ``POPULATION_BLOCK // max(n, s)`` rows from stream b.  Only the stream
 #: layout reads it, so changing it changes every population table
 POPULATION_BLOCK = 1 << 14
+#: rows per urn pass at most: each urn step reads one uniform and writes
+#: one label in every row, a cache line per row, and from about 2^13 rows
+#: on those lines no longer stay in cache from one step to the next
+URN_PASS_ROWS = 1 << 13
+#: longest urn run counted by a row-wise histogram, as wide as the row;
+#: longer rows are sorted and their runs counted, which is faster there
+#: (an urn row holds few species, and the histogram's count of its n-wide
+#: counts costs as much as its count of the labels)
+SHORT_ROW = 12
 #: flag threshold for a table statistic's z (:meth:`MomentTable.z`) against its analytic value
 SE_GATE = 4.0
 
@@ -167,27 +183,40 @@ def _urn_generic(model: GibbsModel, uniforms: np.ndarray) -> np.ndarray:
 
 
 def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
-    """Run one urn per row of ``uniforms`` (rows, n - 1).
+    """Run one urn per row of the C-contiguous float64 ``uniforms`` (rows, n - 1).
 
-    Returns a (rows, n) int32 array whose row i lists the species label of
+    Returns a (rows, n) int32 view whose row i lists the species label of
     each of row i's n draws, in no particular order; labels number species
-    in order of appearance from 0.  Species j's weight c_j - alpha is split as
-    1 per earlier repeat draw of j plus 1 - alpha for its founding draw
-    (Pitman, 2006, ch. 3), so at step m the uniform, scaled by the total
-    weight, lands in one of three regions: the m - k repeat draws (pick one
-    and copy its label), the k founders, or a new species.  ``weights(m, k)``
-    returns the per-row total weight and the largest label a non-repeat
-    draw may take: k, or k - 1 when no new species can be founded.
+    in order of appearance from 0.  The labels are written over uniforms
+    the urn has already read, so ``uniforms`` is consumed.  Species j's
+    weight c_j - alpha is split as 1 per earlier repeat draw of j plus
+    1 - alpha for its founding draw (Pitman, 2006, ch. 3), so at step m the
+    uniform, scaled by the total weight, lands in one of three regions: the
+    m - k repeat draws (pick one and copy its label), the k founders, or a
+    new species.  ``weights(m, k)`` returns the per-row total weight and the
+    largest label a non-repeat draw may take: k, or k - 1 when no new
+    species can be founded.
     """
     rows, steps = uniforms.shape
     n = steps + 1
-    # repeat draws fill a row from the left, slot m - k taking draw m's
-    # label; the founders' labels k-1 .. 0 sit preset in the last k slots
-    labels = np.tile(np.arange(n - 1, -1, -1, dtype=np.int32), (rows, 1))
-    flat = labels.ravel()
-    base = np.arange(rows) * n
+    if n == 1:
+        return np.zeros((rows, 1), dtype=np.int32)
+    # a row of 8 (n - 1) bytes holds 2 (n - 1) >= n int32 label slots, and
+    # column c's uniform holds slots 2c and 2c + 1.  Repeat draws fill a row
+    # from the left, slot m - k taking draw m's label; the founders' labels
+    # k-1 .. 0 sit in the last k slots, preset to n - 1 - j in slot j.  Step
+    # m has read columns 0 .. m - 1: it writes slot m - k <= m - 1 and, at
+    # m = 1, 2, 4, ..., presets columns m/2 .. m - 1, slots m .. 2m - 1 that
+    # no draw has written yet (at m = 1, column 0, before its write)
+    slots = uniforms.view(np.int32)
+    flat = slots.reshape(-1)
+    pairs = uniforms.view(np.int64)  # two slots per 8-byte store
+    preset = (n - 1 - np.arange(2 * steps)).astype(np.int32).view(np.int64)
+    top = (n + 1) // 2  # the columns that hold slots 0 .. n - 1
+    base = np.arange(rows) * (2 * steps)
     k = np.ones(rows, dtype=np.intp)
     inv = 1.0 / (1.0 - alpha)
+    done, preset_at = 0, 1  # columns below done are preset; the next preset is at step preset_at
     for m in range(1, n):
         total, cap = weights(m, k)
         u = uniforms[:, m - 1] * total
@@ -195,12 +224,16 @@ def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
         label = flat[base + np.minimum(u, m - 1).astype(np.intp)]
         u -= repeats  # negative inside the repeat region
         chosen = np.where(u < 0.0, label, np.minimum(u * inv, cap).astype(np.intp))
+        if m == preset_at:  # u is a copy, so its column may be overwritten
+            hi = min(m, top)
+            pairs[:, done:hi] = preset[done:hi]
+            done, preset_at = hi, 2 * m
         # a draw that founds species k writes k to slot m - k, which the
         # next draw overwrites, or, if no draw follows, is species k's
         # preset slot; slots below m - k are never rewritten
         flat[base + repeats] = chosen
         k += chosen == k
-    return labels
+    return slots[:, :n]
 
 
 def _offset_bincount(values: np.ndarray, width: int) -> np.ndarray:
@@ -228,22 +261,31 @@ class CategoricalSampler:
         self.use_alias = self.s > ALIAS_THRESHOLD
         if self.use_alias:
             self._accept, alias = _build_alias(p)
-            self._jump = alias - np.arange(self.s)  # from each cell to its alias
+            self._jump = (alias - np.arange(self.s)).astype(np.int32)  # from each cell to its alias
         else:
             self._cum = np.cumsum(p)
             self._cum[-1] = 1.0
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """The species index each uniform in ``u`` (in [0, 1)) maps to, in
-        an array of ``u``'s shape; ``u`` is left as it is."""
+        an int32 array of ``u``'s shape; ``u`` is left as it is."""
         if not self.use_alias:
-            return np.searchsorted(self._cum, u, side="right")
+            return np.searchsorted(self._cum, u, side="right").astype(np.int32)
         u = u * self.s
-        idx = u.astype(np.intp)
+        idx = u.astype(np.int32)
         np.minimum(idx, self.s - 1, out=idx)
         u -= idx  # the fractional part picks the cell or its alias
         idx += self._jump[idx] * (u >= self._accept[idx])  # no branch per draw
         return idx
+
+
+def _population_sampler(pop: FinitePopulation) -> CategoricalSampler:
+    """The population's sampler, built on first use and kept on ``pop`` for
+    as long as ``pop.probs`` is the read-only array it was built from."""
+    kept = pop.__dict__.get("_sampler")
+    if kept is None or kept[0] is not pop.probs:
+        kept = pop._sampler = (pop.probs, CategoricalSampler(pop.probs))
+    return kept[1]
 
 
 def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +309,7 @@ def _build_alias(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_population(pop: FinitePopulation, n: int, seed: int) -> SampleSummary:
     """n independent draws from the fixed frequencies, summarized."""
     n, seed = _check_run(pop, (FinitePopulation,), n, seed)
-    draws = CategoricalSampler(pop.probs).draw(_stream(seed, 0).random((1, n)))[0]
+    draws = _population_sampler(pop).draw(_stream(seed, 0).random((1, n)))[0]
     _, first, counts = np.unique(draws, return_index=True, return_counts=True)
     return _summarize(counts[np.argsort(first, kind="stable")].tolist())
 
@@ -341,8 +383,11 @@ def monte_carlo_moments(
     sums = np.zeros(1 + l_max, dtype=np.int64)
     squares = np.zeros(1 + l_max, dtype=np.int64)
     for stats in _replicate_blocks(source, n, reps, seed, l_max):
-        sums += stats.sum(axis=0)
-        squares += (stats * stats).sum(axis=0)
+        # einsum sums a column without a block-sized product and, unlike
+        # sum(axis=0), quickly when rows are many and short
+        sums += np.einsum("ij->j", stats)
+        squares += np.einsum("ij,ij->j", stats, stats)
+        del stats  # before the next block is counted
     # below 2^53 the float conversion is exact: the same means as averaging
     # the statistics in float64
     means = sums / reps
@@ -357,17 +402,18 @@ def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
     replicate, in replicate order: one per urn stream block, one per
     population pass.  The caller checks the arguments."""
     if isinstance(source, FinitePopulation):
-        sampler = CategoricalSampler(source.probs)
+        sampler = _population_sampler(source)
         rows = max(1, POPULATION_BLOCK // max(n, sampler.s))
         for draws, _ in _passes(seed, reps, rows, POPULATION_PASS // (rows * n), n, sampler.draw):
-            yield _stats(draws, sampler.s, l_max)
+            yield _stats(draws, sampler.s, l_max, sort=sampler.s > n)
             del draws  # free the pass's draws before the next pass is drawn
         return
     urn = _urn_pitman_yor if isinstance(source, PitmanYor) else _urn_generic
     rows = max(1, URN_BLOCK // n)
-    for labels, bounds in _passes(seed, reps, rows, URN_PASS // (rows * n), n - 1, lambda u: urn(source, u)):
+    per_pass = min(URN_PASS // (rows * n), URN_PASS_ROWS // rows)
+    for labels, bounds in _passes(seed, reps, rows, per_pass, n - 1, lambda u: urn(source, u)):
         for lo, hi in zip(bounds, bounds[1:]):
-            yield _stats(labels[lo:hi], n, l_max)
+            yield _stats(labels[lo:hi], n, l_max, sort=n > SHORT_ROW)
         del labels  # likewise, before the next pass is drawn
 
 
@@ -377,8 +423,9 @@ def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
     A pass is ``per_pass`` (at least 1) consecutive stream blocks of
     ``rows`` rows, the last cut short at ``reps``.  u is a (rows in the
     pass, width) array; block b writes its own rows from stream (seed, b),
-    which gives the doubles of ``random((rows, width))``.  u is freed
-    before the caller counts, and ``draw(u)`` once the caller drops it."""
+    which gives the doubles of ``random((rows, width))``.  ``draw`` may
+    return u's own memory (the urn writes its labels over u); either way
+    the pass is freed once the caller drops ``draw(u)``."""
     sizes = [min(rows, reps - lo) for lo in range(0, reps, rows)]
     per_pass = max(1, per_pass)
     for first in range(0, len(sizes), per_pass):
@@ -392,28 +439,32 @@ def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
         del drawn
 
 
-def _stats(labels: np.ndarray, s: int, l_max: int) -> np.ndarray:
+def _stats(labels: np.ndarray, s: int, l_max: int, sort: bool) -> np.ndarray:
     """K, C_1 .. C_lmax of each row of ``labels``, species labels in [0, s).
 
-    With s <= n (the row length) a row-wise histogram of width s counts the
-    species.  With more species than draws, each row is sorted and its
-    runs are counted, so no array is s wide.  Both give the same integers.
+    With ``sort`` each row is sorted and its runs are counted, so no array
+    is s wide; otherwise a row-wise histogram of width s counts the
+    species.  Both give the same integers.
     """
     rows, n = labels.shape
-    stats = np.empty((rows, 1 + l_max), dtype=np.int64)
-    if s <= n:
+    if not sort:
         counts = _offset_bincount(labels, s)
-        stats[:, 0] = np.count_nonzero(counts, axis=1)
-        stats[:, 1:] = _offset_bincount(counts, n + 1)[:, 1 : l_max + 1]
-        return stats
+        tally = _offset_bincount(counts, n + 1)
+        tally[:, 0] = np.count_nonzero(counts, axis=1)  # in place of the species seen 0 times
+        return tally[:, : 1 + l_max]
     ordered = np.sort(labels, axis=1)
     first = np.empty(ordered.shape, dtype=bool)  # where each run of equal labels starts
     first[:, 0] = True
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
     del ordered
-    stats[:, 0] = np.count_nonzero(first, axis=1)
+    k = np.count_nonzero(first, axis=1)
     starts = np.flatnonzero(first)  # a row's first run starts the row, so no run spans two rows
+    del first
     lengths = np.diff(starts, append=rows * n)
-    tally = np.bincount(starts // n * (n + 1) + lengths, minlength=rows * (n + 1))
-    stats[:, 1:] = tally.reshape(rows, n + 1)[:, 1 : l_max + 1]
-    return stats
+    lengths *= lengths <= l_max  # longer runs go to column 0, which K then fills
+    starts //= n  # each run's row
+    starts *= 1 + l_max
+    starts += lengths
+    tally = np.bincount(starts, minlength=rows * (1 + l_max)).reshape(rows, 1 + l_max)
+    tally[:, 0] = k
+    return tally

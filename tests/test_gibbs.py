@@ -464,6 +464,14 @@ def test_inconsistent_table_is_rejected():
             TabularGibbsModel(0.5, rows)
 
 
+def test_zero_weight_against_a_subnormal_one_is_rejected():
+    # V(2,2) = 0 but (2 - 2 alpha) V(3,2) + V(3,3) = 2e-320: the recursion
+    # check has no absolute floor, so a residual below 1e-300 still counts
+    rows = [[1.0], [2.0, 0.0], [(2 - 1e-320) / 1.5, 1e-320, 1e-320]]
+    with pytest.raises(ValueError, match=r"recursion fails at \(n=2, k=2\)"):
+        TabularGibbsModel(0.5, rows)
+
+
 @pytest.mark.parametrize("make", [lambda: PitmanYor(0.5, 1.0), lambda: PitmanYor(-0.5, s=2),
                                   lambda: TabularGibbsModel.from_bottom_row(0.5, np.ones(5))],
                          ids=["pitman-yor", "pitman-yor-finite", "tabular"])

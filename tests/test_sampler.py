@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from goodturing.empirical import FinitePopulation
 from goodturing.gibbs import GibbsModel, TabularGibbsModel
 from goodturing.oracle import oracle_moment_table, oracle_stirling
+from goodturing import sampler
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
     POPULATION_BLOCK,
     POPULATION_PASS,
+    SHORT_ROW,
     URN_BLOCK,
     URN_PASS,
     CategoricalSampler,
@@ -22,6 +24,7 @@ from goodturing.sampler import (
     monte_carlo_moments,
     sample_gibbs,
     sample_population,
+    _build_alias,
     _replicate_blocks,
     _stats,
     _urn_generic,
@@ -68,14 +71,15 @@ class TestSampleGibbs:
         assert summ.k == 1
 
     def test_closed_and_generic_urns_agree(self, pd_half):
+        # an urn writes its labels over its uniforms, so each gets a copy
         u = np.random.default_rng(0).random((100, 11))
-        np.testing.assert_array_equal(_urn_pitman_yor(pd_half, u), _urn_generic(pd_half, u))
+        np.testing.assert_array_equal(_urn_pitman_yor(pd_half, u.copy()), _urn_generic(pd_half, u.copy()))
 
     def test_closed_and_generic_agree_finite_support(self):
         m = PitmanYor(-1.0, s=3)
         u = np.random.default_rng(1).random((60, 9))
-        closed = _urn_pitman_yor(m, u)
-        np.testing.assert_array_equal(closed, _urn_generic(m, u))
+        closed = _urn_pitman_yor(m, u.copy())
+        np.testing.assert_array_equal(closed, _urn_generic(m, u.copy()))
         assert closed.max() == 2  # three species at most, and some row finds all three
 
     def test_validation(self, pd_half):
@@ -95,7 +99,7 @@ class TestSampleGibbs:
         model = PitmanYor(alpha, s=s)
         u = np.full((1, 39), np.nextafter(1.0, 0.0))
         for urn in (_urn_pitman_yor, _urn_generic):
-            labels = urn(model, u)[0]
+            labels = urn(model, u.copy())[0]
             assert labels.size == 40
             assert np.unique(labels).tolist() == list(range(s))
 
@@ -133,6 +137,31 @@ class TestCategoricalSampler:
         freq = np.bincount(draws, minlength=50) / 200_000
         tol = 5 * np.sqrt(p * (1 - p) / 200_000)
         assert np.all(np.abs(freq - p) <= tol + 1e-12)
+
+    def test_alias_table_is_built_once_per_population(self, monkeypatch):
+        # the table is kept on the population: a second run, and a sample,
+        # draw from it, and the same probabilities in a new population
+        # build their own, equal to it
+        builds = []
+
+        def counting(p):
+            builds.append(p)
+            return _build_alias(p)
+
+        monkeypatch.setattr(sampler, "_build_alias", counting)
+        pop = _linspace_population(ALIAS_THRESHOLD + 8)
+        first = monte_carlo_moments(pop, 20, 100, 1)
+        second = monte_carlo_moments(pop, 20, 100, 1)
+        sample_population(pop, 20, 1)
+        assert len(builds) == 1
+        np.testing.assert_array_equal(first.means, second.means)
+        again = FinitePopulation(pop.probs)
+        np.testing.assert_array_equal(monte_carlo_moments(again, 20, 100, 1).means, first.means)
+        assert len(builds) == 2
+        accept, alias = _build_alias(pop.probs)
+        kept = sampler._population_sampler(pop)
+        np.testing.assert_array_equal(kept._accept, accept)
+        np.testing.assert_array_equal(kept._jump, alias - np.arange(pop.s))
 
     def test_scan_matches_target_distribution(self):
         p = np.array([0.6, 0.25, 0.1, 0.05])
@@ -271,9 +300,9 @@ class TestMonteCarloMoments:
         u = np.random.default_rng((5, 0)).random((40, n - 1))
         tab = TabularGibbsModel.from_bottom_row(0.3, np.linspace(0.5, 2.0, n))
         for urn, model in ((_urn_pitman_yor, pd_half), (_urn_generic, pd_half), (_urn_generic, tab)):
-            block = urn(model, u)
+            block = urn(model, u.copy())
             for i in range(u.shape[0]):
-                np.testing.assert_array_equal(block[i], urn(model, u[i : i + 1])[0])
+                np.testing.assert_array_equal(block[i], urn(model, u[i : i + 1].copy())[0])
             assert block.shape == (u.shape[0], n)
 
     @pytest.mark.parametrize("kind", ["pitman-yor", "generic", "population"])
@@ -343,17 +372,23 @@ def test_moments_come_from_exact_sums(pd_half, pop):
             assert t.ses[j] == np.sqrt(float(var)) / np.sqrt(reps)
 
 
-@pytest.mark.parametrize("n, reps", [(300, 2000), (1000, 600)])
-def test_passes_read_each_blocks_own_stream(n, reps):
+@pytest.mark.parametrize("kind", ["pitman-yor", "saturated", "generic"])
+@pytest.mark.parametrize("n, reps", [(300, 3000), (1000, 900)])
+def test_passes_read_each_blocks_own_stream(n, reps, kind):
     # the reference runs the urn block by block, each block on its own
     # random((rows, n - 1)); both sizes span three passes
-    model, seed = PitmanYor(0.5, 1.0), 12
+    model = {
+        "pitman-yor": lambda: PitmanYor(0.5, 1.0),
+        "saturated": lambda: PitmanYor(-1.0, s=3),
+        "generic": lambda: _StoredRows(PitmanYor(0.5, 1.0), n),
+    }[kind]()
+    urn, seed = (_urn_generic if kind == "generic" else _urn_pitman_yor), 12
     rows = URN_BLOCK // n
     assert reps > 2 * (URN_PASS // (rows * n)) * rows
     want = []
     for b, lo in enumerate(range(0, reps, rows)):
         u = np.random.default_rng((seed, b)).random((min(rows, reps - lo), n - 1))
-        for labels in _urn_pitman_yor(model, u):
+        for labels in urn(model, u):
             counts = np.bincount(labels)
             want.append([np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1:]])
     np.testing.assert_array_equal(_replicate_stats(model, n, reps, seed, n), want)
@@ -390,7 +425,7 @@ def test_population_passes_read_each_blocks_own_stream(s, n, reps):
 def label_rows(draw):
     """A (rows, n) int array of species labels in [0, n), and 1 <= l_max <= n:
     rows of any labels, rows of one species each, or rows of n distinct ones."""
-    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
     shape = draw(st.sampled_from(["any", "one species", "all distinct"]))
     if shape == "one species":
         species = draw(st.lists(st.integers(0, n - 1), min_size=rows, max_size=rows))
@@ -407,20 +442,26 @@ def label_rows(draw):
 @given(case=label_rows())
 @example(case=(np.zeros((2, 7), dtype=np.intp), 3))
 @example(case=(np.tile(np.arange(7), (2, 1)), 7))
+@example(case=(np.tile(np.arange(SHORT_ROW + 1) // 2, (2, 1)), 2))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_sorted_runs_and_histogram_count_alike(case):
-    # s = n takes the row-wise histogram, s > n sorts each row and counts
-    # its runs; spreading the labels over a wide range changes nothing
+    # both routes, at every row length up to and past SHORT_ROW, on intp
+    # labels and on int32 ones (the urn's and the draws' dtype); spreading
+    # the labels over a wide range changes nothing
     labels, l_max = case
     rows, n = labels.shape
     kept = labels.copy()
-    histogram = _stats(labels, n, l_max)
-    np.testing.assert_array_equal(_stats(labels, n + 1, l_max), histogram)
-    np.testing.assert_array_equal(_stats(997 * labels + 3, 997 * n, l_max), histogram)
-    np.testing.assert_array_equal(labels, kept)
-    for row, got in zip(labels, histogram):
+    want = []
+    for row in labels:
         counts = np.bincount(row)
-        assert got.tolist() == [np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1 : l_max + 1]]
+        want.append([np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1 : l_max + 1]])
+    for dtype in (np.intp, np.int32):
+        typed = labels.astype(dtype)
+        for s in (n, int(typed.max()) + 1):
+            np.testing.assert_array_equal(_stats(typed, s, l_max, sort=False), want)
+            np.testing.assert_array_equal(_stats(typed, s, l_max, sort=True), want)
+        np.testing.assert_array_equal(_stats(997 * typed + 3, 997 * n, l_max, sort=True), want)
+    np.testing.assert_array_equal(labels, kept)
 
 
 class _StoredRows(GibbsModel):
@@ -446,12 +487,12 @@ MEMORY_RUNS = {
 
 @pytest.mark.parametrize("kind", list(MEMORY_RUNS))
 def test_memory_is_one_pass(kind):
-    # an urn pass holds 12 bytes per element (float64 uniforms, int32
-    # labels); beside it lives one block of statistics (rows x (1 + n)
-    # int64, as l_max = n), and half a block more covers the per-step
-    # arrays.  A population pass is an eighth of an urn pass, and its draw
-    # and count (by sorted runs at s = 1000 > n = 50, by histogram at
-    # s = n = 1000) stay inside the same budget
+    # an urn pass holds 8 bytes per element (float64 uniforms, with the
+    # labels written over them), 3 MiB, and lives while its blocks are
+    # counted; beside it live one block of statistics (rows x (1 + n)
+    # int64, as l_max = n) and the block's int32 counting temporaries.  A
+    # population pass is smaller, and its draw and count (by sorted runs at
+    # s = 1000) stay inside the same budget
     n, reps = MEMORY_RUNS[kind]
     model = PitmanYor(0.5, 1.0)
     source = {
@@ -460,7 +501,7 @@ def test_memory_is_one_pass(kind):
         "population-wide": lambda: _linspace_population(1000),
         "population-square": lambda: _linspace_population(1000),
     }[kind]()
-    assert URN_PASS <= 1 << 18  # 3 MiB of pass arrays
+    assert 8 * URN_PASS <= 3 * 2**20  # a pass's bytes
     monte_carlo_moments(source, n, 100, 1)  # first-call set-up
     tracemalloc.start()
     try:
@@ -468,7 +509,7 @@ def test_memory_is_one_pass(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * URN_PASS + 12 * URN_BLOCK
+    assert peak < 12 * 2**18 + 12 * URN_BLOCK
 
 
 def test_memory_does_not_grow_with_reps():
