@@ -282,7 +282,7 @@ class CategoricalSampler:
 def _population_sampler(pop: FinitePopulation) -> CategoricalSampler:
     """The population's sampler, built on first use and kept on ``pop`` for
     as long as ``pop.probs`` is the read-only array it was built from."""
-    kept = pop.__dict__.get("_sampler")
+    kept = getattr(pop, "_sampler", None)
     if kept is None or kept[0] is not pop.probs:
         kept = pop._sampler = (pop.probs, CategoricalSampler(pop.probs))
     return kept[1]

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goodturing import sampler
 from goodturing.empirical import FinitePopulation
 from goodturing.gibbs import GibbsModel, TabularGibbsModel
 from goodturing.oracle import oracle_moment_table, oracle_stirling
-from goodturing import sampler
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
