@@ -24,22 +24,27 @@ population): each block's uniforms are written into its own rows of the
 pass, so the replicates read the same uniforms as block by block.  The urn
 takes one step for every row of a pass at once; at large n a block holds
 few rows and numpy's per-call cost dominates a step, so the fewer, longer
-steps of a pass are faster.  The urn writes each draw's label over a
-uniform it has already read, so a pass holds its labels in its own 8 bytes
-per element.  Its statistics are taken one stream block at a time: rows of
-up to :data:`SHORT_ROW` labels are counted by a row-wise histogram, longer
-ones are sorted and their runs counted.  A population pass is drawn and
+steps of a pass are faster.  The urn's species count k and the labels
+it draws are int32, so a step never widens a label and casts it back, and
+n is at most :data:`MAX_N`.  The urn writes each draw's label over a
+uniform it has already read, so a pass holds its labels in its own 8
+bytes per element.  Its statistics are taken one stream block at a time:
+rows of up to :data:`SHORT_ROW` labels are counted by a row-wise
+histogram, longer ones are sorted and their runs counted; either way K
+is read from the tally of counts.  A population pass is drawn and
 counted at once, as its blocks hold few rows when s is large (16 at
-s = 1000 and any n <= 1000).  With more species than draws each row's
-int32 draws are sorted and their runs counted, so no array is s wide; with
-s <= n a row-wise histogram counts them.
+s = 1000 and any n <= 1000).  A population's draws are int32 as well.
+With more species than draws each row's draws are sorted and their runs
+counted, so no array is s wide; with s <= n a row-wise histogram counts
+them.
 
 Memory stays bounded whatever ``reps`` is: an urn pass holds 8 bytes per
 element (float64 uniforms, the int32 labels written over them), and
-beside it live one block's statistics and counting temporaries.  A
-population pass is smaller, as its draw and count make several
-temporaries of its size.  A population's alias table is built once and
-kept on the population.
+beside it live one block's statistics and counting temporaries.  A call
+allocates one pass buffer, at its first pass's size, and every pass
+writes its uniforms into it.  A population pass is smaller, as its draw
+and count make several temporaries of its size.  A population's alias
+table is built once and kept on the population.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ URN_PASS_ROWS = 1 << 13
 #: (an urn row holds few species, and the histogram's count of its n-wide
 #: counts costs as much as its count of the labels)
 SHORT_ROW = 12
+#: largest sample size n: the urn's labels and its species count are int32
+MAX_N = 2**31 - 1
 #: flag threshold for a table statistic's z (:meth:`MomentTable.z`) against its analytic value
 SE_GATE = 4.0
 
@@ -142,14 +149,16 @@ def sample_gibbs(model: GibbsModel, n: int, seed: int) -> SampleSummary:
 
 def _check_run(source, kinds: tuple[type, ...], n, seed) -> tuple[int, int]:
     """n and seed as ints, if the source is one of ``kinds``, n >= 1 and
-    seed >= 0 are integers, and a model supports size n; ValueError
-    otherwise."""
+    seed >= 0 are integers, n fits the int32 labels, and a model supports
+    size n; ValueError otherwise."""
     if not isinstance(source, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"source must be a {names}, got {type(source)!r}")
     _check_integer("n", n, 1)
     _check_integer("seed", seed, 0)
     n = int(n)
+    if n > MAX_N:
+        raise ValueError(f"n={n} beyond the int32 labels' range, need n <= {MAX_N}")
     if isinstance(source, GibbsModel):
         source._check_size(n)
     return n, int(seed)
@@ -157,10 +166,13 @@ def _check_run(source, kinds: tuple[type, ...], n, seed) -> tuple[int, int]:
 
 def _urn_pitman_yor(model: PitmanYor, uniforms: np.ndarray) -> np.ndarray:
     theta, s = model.theta, model.s
+    # k <= n - 1 at every step, so only s < n can saturate, and the cap
+    # then fits k's int32
+    last = None if s is None or s > uniforms.shape[1] else s - 1
 
     def weights(m, k):
         # total weight theta + m; a saturated urn (k = s) founds no species
-        return theta + m, (k if s is None else np.minimum(k, s - 1))
+        return theta + m, (k if last is None else np.minimum(k, last))
 
     return _urn(uniforms, model.alpha, weights)
 
@@ -214,7 +226,7 @@ def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
     preset = (n - 1 - np.arange(2 * steps)).astype(np.int32).view(np.int64)
     top = (n + 1) // 2  # the columns that hold slots 0 .. n - 1
     base = np.arange(rows) * (2 * steps)
-    k = np.ones(rows, dtype=np.intp)
+    k = np.ones(rows, dtype=np.int32)  # the labels' width
     inv = 1.0 / (1.0 - alpha)
     done, preset_at = 0, 1  # columns below done are preset; the next preset is at step preset_at
     for m in range(1, n):
@@ -223,7 +235,7 @@ def _urn(uniforms: np.ndarray, alpha: float, weights) -> np.ndarray:
         repeats = m - k
         label = flat[base + np.minimum(u, m - 1).astype(np.intp)]
         u -= repeats  # negative inside the repeat region
-        chosen = np.where(u < 0.0, label, np.minimum(u * inv, cap).astype(np.intp))
+        chosen = np.where(u < 0.0, label, np.minimum(u * inv, cap).astype(np.int32))
         if m == preset_at:  # u is a copy, so its column may be overwritten
             hi = min(m, top)
             pairs[:, done:hi] = preset[done:hi]
@@ -414,7 +426,6 @@ def _replicate_blocks(source, n: int, reps: int, seed: int, l_max: int):
     for labels, bounds in _passes(seed, reps, rows, per_pass, n - 1, lambda u: urn(source, u)):
         for lo, hi in zip(bounds, bounds[1:]):
             yield _stats(labels[lo:hi], n, l_max, sort=n > SHORT_ROW)
-        del labels  # likewise, before the next pass is drawn
 
 
 def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
@@ -423,20 +434,20 @@ def _passes(seed: int, reps: int, rows: int, per_pass: int, width: int, draw):
     A pass is ``per_pass`` (at least 1) consecutive stream blocks of
     ``rows`` rows, the last cut short at ``reps``.  u is a (rows in the
     pass, width) array; block b writes its own rows from stream (seed, b),
-    which gives the doubles of ``random((rows, width))``.  ``draw`` may
-    return u's own memory (the urn writes its labels over u); either way
-    the pass is freed once the caller drops ``draw(u)``."""
+    which gives the doubles of ``random((rows, width))``.  Every pass's u
+    is the leading rows of one buffer, allocated at the first pass's size,
+    the largest, and freed after the last pass.  ``draw`` may return u's
+    own memory (the urn writes its labels over u), so the caller is done
+    with a pass's ``draw(u)`` once it asks for the next."""
     sizes = [min(rows, reps - lo) for lo in range(0, reps, rows)]
     per_pass = max(1, per_pass)
+    buffer = np.empty((sum(sizes[:per_pass]), width))
     for first in range(0, len(sizes), per_pass):
         bounds = list(itertools.accumulate(sizes[first : first + per_pass], initial=0))
-        uniforms = np.empty((bounds[-1], width))
+        uniforms = buffer[: bounds[-1]]
         for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
             _stream(seed, b).random(out=uniforms[lo:hi])
-        drawn = draw(uniforms)
-        del uniforms
-        yield drawn, bounds
-        del drawn
+        yield draw(uniforms), bounds
 
 
 def _stats(labels: np.ndarray, s: int, l_max: int, sort: bool) -> np.ndarray:
@@ -450,14 +461,13 @@ def _stats(labels: np.ndarray, s: int, l_max: int, sort: bool) -> np.ndarray:
     if not sort:
         counts = _offset_bincount(labels, s)
         tally = _offset_bincount(counts, n + 1)
-        tally[:, 0] = np.count_nonzero(counts, axis=1)  # in place of the species seen 0 times
+        tally[:, 0] = s - tally[:, 0]  # K, in place of the species seen 0 times
         return tally[:, : 1 + l_max]
     ordered = np.sort(labels, axis=1)
     first = np.empty(ordered.shape, dtype=bool)  # where each run of equal labels starts
     first[:, 0] = True
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
     del ordered
-    k = np.count_nonzero(first, axis=1)
     starts = np.flatnonzero(first)  # a row's first run starts the row, so no run spans two rows
     del first
     lengths = np.diff(starts, append=rows * n)
@@ -466,5 +476,5 @@ def _stats(labels: np.ndarray, s: int, l_max: int, sort: bool) -> np.ndarray:
     starts *= 1 + l_max
     starts += lengths
     tally = np.bincount(starts, minlength=rows * (1 + l_max)).reshape(rows, 1 + l_max)
-    tally[:, 0] = k
+    tally[:, 0] = np.einsum("ij->i", tally)  # every run is in one column, so K is the row sum
     return tally

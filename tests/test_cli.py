@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodturing import cli
+from goodturing import cli, sampler
 from goodturing.cli import main
 from goodturing.empirical import smoothed_count, smoothed_discovery
 from goodturing.pitman_yor import PitmanYor
@@ -333,6 +333,18 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--pop", "nan,1", "--n", "5", "--reps", "100", "--seed", "1")
         assert code == 2
         assert out == "" and "finite" in err
+
+    def test_n_past_the_int32_labels_exits_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew past the n check")
+
+        monkeypatch.setattr(sampler, "_stream", refuse)
+        monkeypatch.setattr(sampler, "_passes", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "--alpha", "0.5", "--theta", "1",
+            "--n", "3000000000", "--seed", "3",
+        )
+        assert code == 2 and out == "" and "int32" in err
 
     def test_too_few_reps(self, capsys):
         code, _, err = run_cli(

@@ -14,6 +14,7 @@ from goodturing.oracle import oracle_moment_table, oracle_stirling
 from goodturing.pitman_yor import PitmanYor
 from goodturing.sampler import (
     ALIAS_THRESHOLD,
+    MAX_N,
     POPULATION_BLOCK,
     POPULATION_PASS,
     SHORT_ROW,
@@ -203,6 +204,28 @@ class TestInputChecks:
         }[run]
         with pytest.raises(ValueError, match="n must|seed must"):
             call(**{"n": 5, "seed": 1, **bad})
+
+    @pytest.mark.parametrize("n, rejected", [(MAX_N, False), (MAX_N + 1, True), (3_000_000_000, True)])
+    @pytest.mark.parametrize("run", ["sample_gibbs", "sample_population", "monte_carlo_moments"])
+    def test_n_past_the_int32_labels_is_rejected(self, run, n, rejected, pd_half, pop, monkeypatch):
+        # before anything is drawn: with the streams and passes refused, an
+        # n that gets past the check fails at once instead of allocating
+        # (rows, n - 1) doubles
+        class Drawn(Exception):
+            pass
+
+        def refuse(*args):
+            raise Drawn
+
+        monkeypatch.setattr(sampler, "_stream", refuse)
+        monkeypatch.setattr(sampler, "_passes", refuse)
+        call = {
+            "sample_gibbs": lambda: sample_gibbs(pd_half, n, 1),
+            "sample_population": lambda: sample_population(pop, n, 1),
+            "monte_carlo_moments": lambda: monte_carlo_moments(pd_half, n, 100, 1, l_max=3),
+        }[run]
+        with pytest.raises(ValueError if rejected else Drawn, match="int32" if rejected else None):
+            call()
 
     @pytest.mark.parametrize("bad", [{"reps": 150.5}, {"reps": math.nan}, {"reps": 99}, {"l_max": 2.5}, {"l_max": 0}])
     def test_reps_and_l_max_must_be_integers(self, bad, pd_half):
@@ -443,11 +466,13 @@ def label_rows(draw):
 @example(case=(np.zeros((2, 7), dtype=np.intp), 3))
 @example(case=(np.tile(np.arange(7), (2, 1)), 7))
 @example(case=(np.tile(np.arange(SHORT_ROW + 1) // 2, (2, 1)), 2))
+@example(case=(np.tile(np.repeat(np.arange(3), 5), (2, 1)), 2))  # every run longer than l_max
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_sorted_runs_and_histogram_count_alike(case):
     # both routes, at every row length up to and past SHORT_ROW, on intp
     # labels and on int32 ones (the urn's and the draws' dtype); spreading
-    # the labels over a wide range changes nothing
+    # the labels over a wide range changes nothing, nor does a histogram
+    # wider than the labels (s = 3n, where most species are unseen)
     labels, l_max = case
     rows, n = labels.shape
     kept = labels.copy()
@@ -457,11 +482,67 @@ def test_sorted_runs_and_histogram_count_alike(case):
         want.append([np.count_nonzero(counts), *np.bincount(counts, minlength=n + 1)[1 : l_max + 1]])
     for dtype in (np.intp, np.int32):
         typed = labels.astype(dtype)
-        for s in (n, int(typed.max()) + 1):
+        for s in (n, int(typed.max()) + 1, 3 * n):
             np.testing.assert_array_equal(_stats(typed, s, l_max, sort=False), want)
             np.testing.assert_array_equal(_stats(typed, s, l_max, sort=True), want)
         np.testing.assert_array_equal(_stats(997 * typed + 3, 997 * n, l_max, sort=True), want)
     np.testing.assert_array_equal(labels, kept)
+
+
+@pytest.mark.parametrize("kind", ["pitman-yor", "saturated", "generic"])
+def test_urn_state_stays_int32(kind, monkeypatch):
+    # k and the largest non-repeat label stay in the labels' width at every
+    # step: a wider state makes every step widen its chosen labels and cast
+    # them back into the int32 slots
+    n = 40
+    model = {
+        "pitman-yor": lambda: PitmanYor(0.5, 1.0),
+        "saturated": lambda: PitmanYor(-1.0, s=3),
+        "generic": lambda: _StoredRows(PitmanYor(0.5, 1.0), n),
+    }[kind]()
+    seen, run = [], sampler._urn
+
+    def spy(uniforms, alpha, weights):
+        def recorded(m, k):
+            total, cap = weights(m, k)
+            seen.append((k.dtype, cap.dtype))
+            return total, cap
+
+        return run(uniforms, alpha, recorded)
+
+    monkeypatch.setattr(sampler, "_urn", spy)
+    urn = _urn_generic if kind == "generic" else _urn_pitman_yor
+    labels = urn(model, np.random.default_rng(5).random((30, n - 1)))
+    assert len(seen) == n - 1 and set(seen) == {(np.dtype(np.int32), np.dtype(np.int32))}
+    assert labels.dtype == np.int32
+
+
+#: PY(-0.5, s) tables at n = 50, 200 replicates, seed 3, l_max = 3, and the
+#: first sample's parts, as drawn with an int64 urn state
+_DISTINCT = ([50.0, 50.0, 0.0, 0.0], [0.0] * 4, (1,) * 50)
+PINNED_URNS = {
+    3: (
+        [2.625, 0.195, 0.175, 0.105],
+        [0.039109111637383516, 0.028085923439997246, 0.02874030314950815, 0.021730995856253862],
+        (46, 4),
+    ),
+    2**31 - 1: _DISTINCT,
+    2**31: _DISTINCT,
+    10**12: _DISTINCT,
+}
+
+
+@pytest.mark.parametrize("s", list(PINNED_URNS))
+def test_urn_tables_pinned_from_saturating_to_huge_s(s):
+    # s = 3 saturates long before n = 50.  An urn of n <= s draws never
+    # saturates, and an s - 1 past int32 must not meet its int32 state;
+    # there a repeat draw has probability about n^2 / (|alpha| s) per
+    # replicate, and at seed 3 every replicate draws n distinct species
+    model = PitmanYor(-0.5, s=s)
+    means, ses, parts = PINNED_URNS[s]
+    t = monte_carlo_moments(model, 50, 200, 3, l_max=3)
+    assert t.means.tolist() == means and t.ses.tolist() == ses
+    assert sample_gibbs(model, 50, 3).composition.parts == parts
 
 
 class _StoredRows(GibbsModel):
